@@ -5,11 +5,11 @@
 // paper's A / P / Q axes for each variant — what the hardening costs in
 // Table II terms.
 //
-// Each campaign runs three ways — scalar (lanes=1, jobs=1), lane-batched
-// (lanes=L, jobs=1) and batched-parallel (lanes=L, jobs=N; skipped when
-// jobs == 1) — to report the batch and pool speedups alongside the
-// classification results; the outcome counts are asserted identical across
-// all runs (the {lanes, jobs} determinism contract).
+// Each campaign runs three ways — one lane (lanes=1, jobs=1; the "scalar"
+// series), lane-batched (lanes=L, jobs=1) and batched-parallel (lanes=L,
+// jobs=N; skipped when jobs == 1) — to report the batch and pool speedups
+// alongside the classification results; the outcome counts are asserted
+// identical across all runs (the {lanes, jobs} determinism contract).
 //
 // Writes BENCH_fault.json (cwd) through the obs::RunReport schema.
 //
@@ -48,7 +48,7 @@ constexpr uint64_t kSampleSeed = 2026;
 constexpr uint64_t kMaxInjectCycle = 60;  // within the 2-matrix stream window
 
 struct CampaignTiming {
-  double serial_sec = 0.0;    ///< scalar: lanes=1, jobs=1
+  double serial_sec = 0.0;    ///< one lane: lanes=1, jobs=1
   double batched_sec = 0.0;   ///< lane-batched: lanes=L, jobs=1
   double parallel_sec = 0.0;  ///< lanes=L, jobs=N (== batched when jobs=1)
   double speedup() const {
@@ -69,13 +69,13 @@ void check_counts_equal(const hlshc::fault::CampaignCounts& a,
                         const char* what) {
   if (a.masked != b.masked || a.sdc != b.sdc || a.detected != b.detected ||
       a.hang != b.hang) {
-    std::fprintf(stderr, "FATAL: %s campaign diverged from the scalar run\n",
+    std::fprintf(stderr, "FATAL: %s campaign diverged from the one-lane run\n",
                  what);
     std::exit(1);
   }
 }
 
-/// Runs the campaign scalar (lanes=1, jobs=1), lane-batched (lanes=L,
+/// Runs the campaign on one lane (lanes=1, jobs=1), lane-batched (lanes=L,
 /// jobs=1), then batched-parallel over `jobs` workers (skipped when
 /// jobs == 1), verifies the outcome counts match bit-for-bit across all
 /// three runs, and joins the final campaign with the A/P/Q axes.

@@ -74,15 +74,17 @@ RoundResult run_round(int queue_capacity, int jobs, int requests,
   options.queue_capacity = queue_capacity;
   svc::Server server(options);
 
-  // A mixed, cache-friendly request schedule: five designs round-robin,
-  // mostly compiles with an evaluate every 5th request.
+  // A mixed, cache-friendly request schedule: designs round-robin, mostly
+  // compiles with an evaluate every 5th request — drawn from the designs
+  // the service can evaluate (raw kernels have no AXI-Stream ports).
   const std::vector<std::string> designs = server.design_names();
+  const std::vector<std::string> evaluable = server.evaluable_design_names();
   std::vector<std::string> lines;
   lines.reserve(static_cast<size_t>(requests));
   for (int i = 0; i < requests; ++i) {
-    const std::string& design =
-        designs[static_cast<size_t>(i) % designs.size()];
     const bool evaluate = i % 5 == 4;
+    const std::vector<std::string>& pool = evaluate ? evaluable : designs;
+    const std::string& design = pool[static_cast<size_t>(i) % pool.size()];
     lines.push_back(
         std::string("{\"id\":") + std::to_string(i) + ",\"method\":\"" +
         (evaluate ? "evaluate" : "compile") + "\",\"params\":{\"design\":\"" +

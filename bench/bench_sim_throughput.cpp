@@ -110,17 +110,17 @@ double stream_cps(sim::Engine& e, const std::vector<hlshc::idct::Block>& ins) {
 }
 
 /// Lane-batched stream throughput: one BatchSimulator sweep streaming the
-/// same stimulus on every lane. Returns aggregate lane-cycles/sec
+/// same stimulus as one job per lane. Returns aggregate lane-cycles/sec
 /// (simulated cycles x lanes / wall time) — directly comparable with the
 /// scalar stream cycles/sec columns.
 double batch_stream_cps(const netlist::Design& d, int lanes,
                         const std::vector<hlshc::idct::Block>& ins) {
   sim::BatchSimulator bsim(d, lanes);
   hlshc::axis::BatchStreamTestbench tb(bsim);
-  const std::vector<std::vector<hlshc::idct::Block>> lane_ins(
-      static_cast<size_t>(lanes), ins);
+  const std::vector<hlshc::axis::BatchStreamTestbench::Job> jobs(
+      static_cast<size_t>(lanes), {ins, {}});
   auto t0 = std::chrono::steady_clock::now();
-  tb.run(lane_ins, 10'000'000);
+  tb.run_jobs(jobs, 10'000'000);
   double secs = seconds_since(t0);
   return secs > 0 ? static_cast<double>(bsim.cycle()) * lanes / secs : 0.0;
 }

@@ -2,148 +2,22 @@
 
 #include <memory>
 
-#include "base/check.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace hlshc::axis {
 
-std::vector<BatchLaneResult> BatchStreamTestbench::run(
-    const std::vector<std::vector<idct::Block>>& inputs, uint64_t max_cycles,
-    const std::vector<netlist::NodeId>& probes) {
-  const int lanes = sim_.lanes();
-  HLSHC_CHECK(static_cast<int>(inputs.size()) == lanes,
-              "batch run got " << inputs.size() << " input sets for "
-                               << lanes << " lanes");
-  obs::Span span("testbench.batch_run", "axis");
-  span.arg("design", sim_.design().name())
-      .arg("lanes", static_cast<int64_t>(lanes));
-
-  sim_.reset_all();
-
-  // Per-lane drivers/monitors over the lane views: the same state machines
-  // the scalar StreamTestbench uses, constructed per run for clean state.
-  std::vector<std::unique_ptr<SourceDriver>> sources;
-  std::vector<std::unique_ptr<SinkDriver>> sinks;
-  std::vector<std::unique_ptr<Monitor>> monitors;
-  sources.reserve(static_cast<size_t>(lanes));
-  sinks.reserve(static_cast<size_t>(lanes));
-  monitors.reserve(static_cast<size_t>(lanes));
-  for (int l = 0; l < lanes; ++l) {
-    sources.push_back(std::make_unique<SourceDriver>(sim_.lane(l)));
-    sinks.push_back(std::make_unique<SinkDriver>(sim_.lane(l)));
-    monitors.push_back(std::make_unique<Monitor>(sim_.lane(l)));
-  }
-
-  std::vector<BatchLaneResult> results(static_cast<size_t>(lanes));
-  std::vector<size_t> want(static_cast<size_t>(lanes), 0);
-  std::vector<char> active(static_cast<size_t>(lanes), 0);
-  // Completion cycle per lane (the iteration count at which it finished),
-  // for the masked-lane accounting below.
-  std::vector<uint64_t> done_at(static_cast<size_t>(lanes), 0);
-  int remaining = 0;
-  for (int l = 0; l < lanes; ++l) {
-    const size_t sl = static_cast<size_t>(l);
-    want[sl] = inputs[sl].size();
-    for (const idct::Block& b : inputs[sl]) sources[sl]->queue(b);
-    active[sl] = want[sl] > 0;
-    if (active[sl])
-      ++remaining;
-    else
-      sim_.retire_lane(l);  // nothing to stream: drop it from the sweep
-  }
-  const int lanes_active = remaining;
-
-  auto finish_lane = [&](int l, uint64_t cycles, bool hung) {
-    const size_t sl = static_cast<size_t>(l);
-    BatchLaneResult& r = results[sl];
-    r.matrices = sinks[sl]->matrices();
-    r.clean = monitors[sl]->clean();
-    r.hung = hung;
-    // Same read point as the scalar campaign's post-run detector reads:
-    // the settled state right after the lane's final step.
-    r.probes.reserve(probes.size());
-    for (netlist::NodeId p : probes) r.probes.push_back(sim_.value_i64(l, p));
-    r.timing = derive_stream_timing(static_cast<int>(want[sl]), sim_.cycle(),
-                                    sources[sl]->matrix_start_cycles(),
-                                    sinks[sl]->matrix_end_cycles());
-    done_at[sl] = cycles;
-    active[sl] = 0;
-    --remaining;
-    // A finished lane leaves the batch entirely: the remaining sweep only
-    // pays for lanes still running, so one straggler (e.g. a hang
-    // candidate burning its whole cycle budget) degrades toward scalar
-    // cost instead of dragging `lanes` columns along.
-    if (!hung) sim_.retire_lane(l);
-  };
-
-  uint64_t cycles = 0;
-  bool timed_out = false;
-  while (remaining > 0) {
-    if (cycles >= max_cycles) {
-      timed_out = true;
-      for (int l = 0; l < lanes; ++l)
-        if (active[static_cast<size_t>(l)]) finish_lane(l, cycles, true);
-      break;
-    }
-    // One scalar-testbench cycle, in the scalar order, for every active
-    // lane: drive, settle all lanes together, consume, check, clock edge.
-    for (int l = 0; l < lanes; ++l) {
-      if (!active[static_cast<size_t>(l)]) continue;
-      sources[static_cast<size_t>(l)]->pre_cycle();
-      sinks[static_cast<size_t>(l)]->pre_cycle();
-    }
-    sim_.eval_all();
-    for (int l = 0; l < lanes; ++l) {
-      if (!active[static_cast<size_t>(l)]) continue;
-      sources[static_cast<size_t>(l)]->post_eval();
-      sinks[static_cast<size_t>(l)]->post_eval();
-      monitors[static_cast<size_t>(l)]->sample();
-    }
-    sim_.step_all();
-    ++cycles;
-    for (int l = 0; l < lanes; ++l) {
-      const size_t sl = static_cast<size_t>(l);
-      if (active[sl] && sinks[sl]->matrices().size() >= want[sl])
-        finish_lane(l, cycles, false);
-    }
-  }
-
-  // Masked lanes: finished (or never started) while the batch kept
-  // stepping for stragglers. Hung lanes all end at the final cycle and are
-  // not "masked" — they ran the whole sweep.
-  masked_early_ = 0;
-  for (int l = 0; l < lanes; ++l) {
-    const size_t sl = static_cast<size_t>(l);
-    if (want[sl] == 0) {
-      if (cycles > 0) ++masked_early_;
-    } else if (!results[sl].hung && done_at[sl] < cycles) {
-      ++masked_early_;
-    }
-  }
-
-  if (obs::enabled()) {
-    obs::Registry& reg = obs::registry();
-    reg.counter("sim.batch.sweeps")->add(1);
-    reg.counter("sim.batch.lanes")->add(lanes_active);
-  }
-  span.arg("cycles", static_cast<int64_t>(cycles))
-      .arg("timed_out", timed_out ? int64_t{1} : int64_t{0});
-  return results;
-}
-
-std::vector<BatchLaneResult> BatchStreamTestbench::run_jobs(
-    const std::vector<Job>& jobs, uint64_t max_cycles,
-    const std::vector<netlist::NodeId>& probes,
-    const std::function<void(size_t, const BatchLaneResult&)>& on_done) {
+void BatchStreamTestbench::run_jobs(const JobSource& next,
+                                    uint64_t max_cycles,
+                                    const std::vector<netlist::NodeId>& probes,
+                                    const JobDone& on_done) {
   const int lanes = sim_.lanes();
   obs::Span span("testbench.batch_stream", "axis");
   span.arg("design", sim_.design().name())
-      .arg("lanes", static_cast<int64_t>(lanes))
-      .arg("jobs", static_cast<int64_t>(jobs.size()));
+      .arg("lanes", static_cast<int64_t>(lanes));
   refills_ = 0;
+  masked_early_ = 0;
 
-  std::vector<BatchLaneResult> results(jobs.size());
   std::vector<std::unique_ptr<SourceDriver>> sources(
       static_cast<size_t>(lanes));
   std::vector<std::unique_ptr<SinkDriver>> sinks(static_cast<size_t>(lanes));
@@ -152,54 +26,59 @@ std::vector<BatchLaneResult> BatchStreamTestbench::run_jobs(
   std::vector<size_t> want(static_cast<size_t>(lanes), 0);
   std::vector<char> active(static_cast<size_t>(lanes), 0);
   std::vector<char> idle(static_cast<size_t>(lanes), 0);
-  size_t next = 0;
   int active_count = 0;
   int idle_count = 0;
+  int64_t jobs_run = 0;
+  bool exhausted = false;
+  Job job;
+  size_t id = 0;
+  const auto pull = [&] {
+    if (exhausted || !next(&id, &job)) {
+      exhausted = true;
+      return false;
+    }
+    ++jobs_run;
+    return true;
+  };
 
   // Fresh driver/monitor state machines over the lane view, exactly as a
-  // scalar run would construct them, plus the job's stimulus queue.
-  auto bind_lane = [&](int l) {
+  // scalar run would construct them, plus the pulled job's stimulus.
+  const auto bind_lane = [&](int l) {
     const size_t sl = static_cast<size_t>(l);
     sources[sl] = std::make_unique<SourceDriver>(sim_.lane(l));
     sinks[sl] = std::make_unique<SinkDriver>(sim_.lane(l));
     monitors[sl] = std::make_unique<Monitor>(sim_.lane(l));
-    for (const idct::Block& b : jobs[job_of[sl]].inputs)
-      sources[sl]->queue(b);
-    want[sl] = jobs[job_of[sl]].inputs.size();
+    for (const idct::Block& b : job.inputs) sources[sl]->queue(b);
+    job_of[sl] = id;
+    want[sl] = job.inputs.size();
     active[sl] = 1;
     ++active_count;
   };
 
-  // Initial fill: arm before reset — the same contract as run(), so
-  // reset_all fires each lane's cycle-0 SEU on the reset state. Lanes with
-  // no job leave the sweep immediately.
+  // Initial fill: arm before reset, so reset_all fires each lane's cycle-0
+  // SEU on the reset state. Lanes left without a job leave the sweep.
   for (int l = 0; l < lanes; ++l) {
-    if (static_cast<size_t>(l) < jobs.size())
-      sim_.arm_lane_fault(l, jobs[static_cast<size_t>(l)].fault);
-    else
-      sim_.disarm_lane_fault(l);
-  }
-  sim_.reset_all();
-  for (int l = 0; l < lanes; ++l) {
-    if (static_cast<size_t>(l) < jobs.size()) {
-      job_of[static_cast<size_t>(l)] = static_cast<size_t>(l);
+    if (pull()) {
+      sim_.arm_lane_fault(l, job.fault);
       bind_lane(l);
     } else {
-      sim_.retire_lane(l);
+      sim_.disarm_lane_fault(l);
     }
   }
-  next = std::min(static_cast<size_t>(lanes), jobs.size());
+  sim_.reset_all();
+  for (int l = 0; l < lanes; ++l)
+    if (!active[static_cast<size_t>(l)]) sim_.retire_lane(l);
 
-  auto finish_lane = [&](int l, bool hung) {
+  BatchLaneResult r;
+  const auto finish_lane = [&](int l, bool hung) {
     const size_t sl = static_cast<size_t>(l);
-    const size_t j = job_of[sl];
-    BatchLaneResult& r = results[j];
     r.matrices = sinks[sl]->matrices();
     r.clean = monitors[sl]->clean();
     r.hung = hung;
-    // Same read point as the scalar campaign's post-run detector reads:
-    // the settled state right after the lane's final step.
-    r.probes.reserve(probes.size());
+    r.malformed = sinks[sl]->malformed_frames();
+    // The settled state right after the lane's final step — the read point
+    // of the scalar testbench's post-run output reads.
+    r.probes.clear();
     for (netlist::NodeId p : probes) r.probes.push_back(sim_.value_i64(l, p));
     r.timing = derive_stream_timing(static_cast<int>(want[sl]),
                                     sim_.lane_cycle(l),
@@ -208,44 +87,42 @@ std::vector<BatchLaneResult> BatchStreamTestbench::run_jobs(
     active[sl] = 0;
     --active_count;
     // The lane idles (fault disarmed, no stimulus) until the refill policy
-    // hands it the next job; with nothing left to stream it leaves the
-    // sweep for good.
+    // hands it the next job; with nothing left it leaves the sweep.
     sim_.disarm_lane_fault(l);
-    if (next < jobs.size()) {
+    if (!exhausted) {
       idle[sl] = 1;
       ++idle_count;
     } else {
       sim_.retire_lane(l);
     }
-    if (on_done) on_done(j, r);
+    if (on_done) on_done(job_of[sl], r);
   };
 
-  while (active_count > 0 || next < jobs.size()) {
+  while (active_count > 0 || (idle_count > 0 && !exhausted)) {
     // Per-lane watchdog on the lane's own clock — the scalar max_cycles
     // contract, so a hang classifies at the same budget as a scalar run
     // regardless of when its lane started.
     for (int l = 0; l < lanes; ++l)
-      if (active[static_cast<size_t>(l)] &&
-          sim_.lane_cycle(l) >= max_cycles)
+      if (active[static_cast<size_t>(l)] && sim_.lane_cycle(l) >= max_cycles)
         finish_lane(l, true);
     // Refill: once at least half the live lanes sit idle (or nothing is
-    // left running), every idle lane restarts on the next pending job, in
-    // ascending lane order — deterministic at any lane count.
-    if (next < jobs.size() && idle_count > 0 && idle_count >= active_count) {
-      for (int l = 0; l < lanes && next < jobs.size(); ++l) {
+    // left running), every idle lane restarts on the next job, in
+    // ascending lane order.
+    if (idle_count > 0 && idle_count >= active_count) {
+      for (int l = 0; l < lanes; ++l) {
         const size_t sl = static_cast<size_t>(l);
         if (!idle[sl]) continue;
-        job_of[sl] = next++;
-        sim_.refill_lane(l, jobs[job_of[sl]].fault);
+        if (!pull()) break;
+        sim_.refill_lane(l, job.fault);
         bind_lane(l);
         idle[sl] = 0;
         --idle_count;
         ++refills_;
       }
     }
-    // Jobs exhausted: lanes still idle leave the sweep so the remaining
+    // Source exhausted: idle lanes leave the sweep so the remaining
     // stragglers pay only for themselves.
-    if (next >= jobs.size() && idle_count > 0) {
+    if (exhausted) {
       for (int l = 0; l < lanes; ++l) {
         const size_t sl = static_cast<size_t>(l);
         if (!idle[sl]) continue;
@@ -270,21 +147,43 @@ std::vector<BatchLaneResult> BatchStreamTestbench::run_jobs(
       monitors[static_cast<size_t>(l)]->sample();
     }
     sim_.step_all();
+    int finished = 0;
     for (int l = 0; l < lanes; ++l) {
       const size_t sl = static_cast<size_t>(l);
-      if (active[sl] && sinks[sl]->matrices().size() >= want[sl])
+      if (active[sl] && sinks[sl]->matrices().size() >= want[sl]) {
         finish_lane(l, false);
+        ++finished;
+      }
     }
+    // Masked: finished while other lanes kept stepping.
+    if (active_count > 0) masked_early_ += finished;
   }
 
   if (obs::enabled()) {
     obs::Registry& reg = obs::registry();
     reg.counter("sim.batch.sweeps")->add(1);
-    reg.counter("sim.batch.lanes")->add(static_cast<int64_t>(jobs.size()));
+    reg.counter("sim.batch.lanes")->add(jobs_run);
     reg.counter("sim.batch.refills")->add(refills_);
   }
-  span.arg("cycles", static_cast<int64_t>(sim_.cycle()))
+  span.arg("jobs", jobs_run)
+      .arg("cycles", static_cast<int64_t>(sim_.cycle()))
       .arg("refills", static_cast<int64_t>(refills_));
+}
+
+std::vector<BatchLaneResult> BatchStreamTestbench::run_jobs(
+    const std::vector<Job>& jobs, uint64_t max_cycles,
+    const std::vector<netlist::NodeId>& probes) {
+  std::vector<BatchLaneResult> results(jobs.size());
+  size_t cursor = 0;
+  run_jobs(
+      [&](size_t* id, Job* job) {
+        if (cursor >= jobs.size()) return false;
+        *id = cursor;
+        *job = jobs[cursor++];
+        return true;
+      },
+      max_cycles, probes,
+      [&](size_t id, const BatchLaneResult& r) { results[id] = r; });
   return results;
 }
 

@@ -10,14 +10,11 @@
 // violations and timing are bitwise-identical to the same run on a scalar
 // engine.
 //
-// Divergence handling (the "masking" of the lane-batched design): a lane is
-// done when its sink has collected its quota of matrices; done lanes stop
-// being driven and sampled (their TVALID stays low, their monitor stops
-// accumulating) and are retired from the simulator — the lane-major arrays
-// compact, so the remaining sweep only pays for the lanes still running and
-// a single straggler degrades toward scalar cost. A lane still unfinished
-// at max_cycles is flagged hung (the scalar harness throws sim::SimTimeout
-// for the same condition; campaign code maps both to the hang outcome).
+// Jobs stream through the lanes: a lane is done when its sink has collected
+// its quota of matrices (or its own cycle budget runs out: hung); done
+// lanes idle until the refill policy hands them the next job, and leave
+// the sweep once the job source is exhausted — the lane-major arrays
+// compact, so a single straggler degrades toward scalar cost.
 #pragma once
 
 #include <cstdint>
@@ -34,8 +31,9 @@ struct BatchLaneResult {
   std::vector<idct::Block> matrices;
   bool clean = true;   ///< no protocol violations up to lane completion
   bool hung = false;   ///< lane did not finish within max_cycles
-  /// Probe node values sampled at lane completion (same read point as the
-  /// scalar campaign's post-run detector reads), canonical int64 per probe.
+  int malformed = 0;   ///< frames TLAST closed after other than 8 beats
+  /// Probe node values sampled at lane completion (the settled state right
+  /// after the lane's final step), canonical int64 per probe.
   std::vector<int64_t> probes;
   StreamTiming timing;
 };
@@ -44,21 +42,6 @@ class BatchStreamTestbench {
  public:
   explicit BatchStreamTestbench(sim::BatchSimulator& sim) : sim_(sim) {}
 
-  /// Push `inputs[l]` through lane l (an empty vector idles the lane);
-  /// runs until every lane collected its matrices or `max_cycles` elapse
-  /// (stragglers come back with hung=true — no exception, other lanes'
-  /// results stay valid). `probes` names nodes to sample per lane at its
-  /// completion cycle.
-  std::vector<BatchLaneResult> run(
-      const std::vector<std::vector<idct::Block>>& inputs,
-      uint64_t max_cycles,
-      const std::vector<netlist::NodeId>& probes = {});
-
-  /// Lanes of the last run() that completed strictly before the final
-  /// active lane (the "masked" lanes that idled while stragglers ran),
-  /// including lanes given no input at all.
-  int lanes_masked_early() const { return masked_early_; }
-
   /// One unit of streamed work: an input set plus the fault armed for its
   /// whole run (kNone = clean). Each job's result is bitwise-identical to
   /// a scalar run of the same fault/inputs from reset.
@@ -66,22 +49,30 @@ class BatchStreamTestbench {
     std::vector<idct::Block> inputs;
     sim::LaneFault fault;
   };
+  /// Hands out the next job and its caller-side id; false once exhausted.
+  using JobSource = std::function<bool(size_t* id, Job* job)>;
+  using JobDone = std::function<void(size_t id, const BatchLaneResult&)>;
 
-  /// Streaming variant of run(): pulls `jobs` through the lane pool,
-  /// refilling freed lanes with fresh jobs instead of draining a whole
-  /// group behind a straggler. Lanes that finish (or hang — each lane gets
-  /// its own `max_cycles` budget on its own clock) go idle; once at least
-  /// half the live lanes are idle (or no lane is left running), every idle
-  /// lane is refilled via sim::BatchSimulator::refill_lane with the next
-  /// pending jobs, in ascending lane order. Results land in job order.
-  /// `on_done(job, result)` fires as each job completes, in completion
-  /// order — campaign progress hooks ride on it.
+  /// Pulls jobs from `next` through the lane pool, refilling freed lanes
+  /// with fresh jobs instead of draining the batch behind a straggler.
+  /// Lanes that finish (or hang — each lane gets its own `max_cycles`
+  /// budget on its own clock) go idle; once at least half the live lanes
+  /// are idle (or no lane is left running), every idle lane is refilled via
+  /// sim::BatchSimulator::refill_lane with the next jobs, in ascending lane
+  /// order. `on_done(id, result)` fires as each job completes, in
+  /// completion order. `probes` names nodes sampled at each completion.
+  void run_jobs(const JobSource& next, uint64_t max_cycles,
+                const std::vector<netlist::NodeId>& probes,
+                const JobDone& on_done);
+
+  /// Every job of `jobs`; results in job order.
   std::vector<BatchLaneResult> run_jobs(
       const std::vector<Job>& jobs, uint64_t max_cycles,
-      const std::vector<netlist::NodeId>& probes = {},
-      const std::function<void(size_t, const BatchLaneResult&)>& on_done =
-          {});
+      const std::vector<netlist::NodeId>& probes = {});
 
+  /// Jobs of the last run_jobs() that completed while other lanes kept
+  /// stepping (their lane idled or left the sweep behind stragglers).
+  int lanes_masked_early() const { return masked_early_; }
   /// Mid-sweep lane refills performed by the last run_jobs().
   int lane_refills() const { return refills_; }
 

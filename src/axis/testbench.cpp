@@ -115,7 +115,12 @@ bool SinkDriver::post_eval() {
   beat.last = sim_.value(tlast_).to_bool();
   pending_.push_back(beat);
   if (beat.last) {
-    matrices_.push_back(beats_to_matrix(pending_));
+    idct::Block block{};
+    const size_t rows = std::min<size_t>(pending_.size(), idct::kBlockDim);
+    for (size_t r = 0; r < rows; ++r)
+      store_output_beat(pending_[r], block, static_cast<int>(r));
+    if (pending_.size() != idct::kBlockDim) ++malformed_;
+    matrices_.push_back(block);
     ends_.push_back(sim_.cycle());
     pending_.clear();
   }

@@ -78,7 +78,12 @@ class SinkDriver {
   /// beat was captured this cycle.
   bool post_eval();
 
+  /// Every frame TLAST closed, in arrival order. A malformed frame (TLAST
+  /// after other than 8 beats) is kept as the matrix its first rows spell —
+  /// missing rows zero, rows past the 8th dropped — and counted below: a
+  /// wrong beat count is the design's output for the caller to judge.
   const std::vector<idct::Block>& matrices() const { return matrices_; }
+  int malformed_frames() const { return malformed_; }
   /// Cycle of the final (TLAST) beat of each completed matrix.
   const std::vector<uint64_t>& matrix_end_cycles() const { return ends_; }
 
@@ -90,6 +95,7 @@ class SinkDriver {
   std::vector<Beat> pending_;
   std::vector<idct::Block> matrices_;
   std::vector<uint64_t> ends_;
+  int malformed_ = 0;
   int stall_cycles_ = 0;
   int period_ = 0;
   int phase_ = 0;

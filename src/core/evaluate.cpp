@@ -5,7 +5,7 @@
 #include "base/rng.hpp"
 #include "obs/event_log.hpp"
 #include "obs/trace.hpp"
-#include "sim/engine.hpp"
+#include "sim/compiled.hpp"
 
 namespace hlshc::core {
 
@@ -21,25 +21,22 @@ DesignEvaluation evaluate_axis_design(const netlist::Design& design,
   // 1+2: simulate, verify, measure. Stimulus, reference model and the
   // accept/reject judgement are the workload's (the same hooks the fault
   // campaigns classify against, so the two paths cannot drift).
-  const bool batched =
-      options.lanes > 1 && options.engine == sim::EngineKind::kCompiled;
-  if (batched) {
-    // N independent stimulus sets per sweep: lane l streams the seed+l
-    // set, so one batched run both verifies lane 0's canonical stimulus
+  if (options.lanes > 1) {
+    // N independent stimulus sets, one job per lane: lane l streams the
+    // seed+l set, so one sweep both verifies lane 0's canonical stimulus
     // (bitwise the scalar trajectory) and widens the functional check.
     sim::BatchSimulator bsim(design, options.lanes);
     if (options.deadline) bsim.set_deadline(options.deadline);
-    axis::BatchStreamTestbench tb(bsim);
-    std::vector<std::vector<workload::Frame>> lane_ins(
+    std::vector<axis::BatchStreamTestbench::Job> jobs(
         static_cast<size_t>(options.lanes));
-    for (int l = 0; l < options.lanes; ++l)
-      lane_ins[static_cast<size_t>(l)] = workload::eval_input_set(
-          spec, options.matrices, options.seed + static_cast<uint64_t>(l),
-          options.realistic_inputs);
-    auto results = tb.run(lane_ins, options.max_cycles);
-    bool all_ok = true;
-    for (int l = 0; l < options.lanes; ++l) {
-      const axis::BatchLaneResult& r = results[static_cast<size_t>(l)];
+    for (size_t l = 0; l < jobs.size(); ++l)
+      jobs[l].inputs = workload::eval_input_set(
+          spec, options.matrices, options.seed + l, options.realistic_inputs);
+    axis::BatchStreamTestbench tb(bsim);
+    const auto results = tb.run_jobs(jobs, options.max_cycles);
+    ev.functional = true;
+    for (size_t l = 0; l < jobs.size(); ++l) {
+      const axis::BatchLaneResult& r = results[l];
       // The scalar path propagates SimTimeout out of the testbench; keep
       // that contract for any wedged lane.
       if (r.hung)
@@ -47,26 +44,25 @@ DesignEvaluation evaluate_axis_design(const netlist::Design& design,
                                   "' (batched lane " + std::to_string(l) +
                                   ')',
                               options.max_cycles);
-      all_ok = all_ok && r.clean &&
-               workload::diff_outputs(
-                   spec,
-                   workload::reference_outputs(spec,
-                                               lane_ins[static_cast<size_t>(l)]),
-                   r.matrices) == 0;
+      ev.functional =
+          ev.functional && r.clean && r.malformed == 0 &&
+          workload::diff_outputs(
+              spec, workload::reference_outputs(spec, jobs[l].inputs),
+              r.matrices) == 0;
     }
-    ev.functional = all_ok;
     ev.latency_cycles = results[0].timing.latency_cycles;
     ev.periodicity_cycles = results[0].timing.periodicity_cycles;
   } else {
-    std::unique_ptr<sim::Engine> sim =
-        sim::make_engine(design, options.engine);
-    if (options.deadline) sim->set_deadline(options.deadline);
-    axis::StreamTestbench tb(*sim);
+    sim::CompiledSimulator sim(design);
+    if (options.deadline) sim.set_deadline(options.deadline);
+    axis::StreamTestbench tb(sim);
     std::vector<workload::Frame> ins = workload::eval_input_set(
         spec, options.matrices, options.seed, options.realistic_inputs);
     auto outs = tb.run(ins, options.max_cycles);
+    // A frame of the wrong length is a functional failure of the design,
+    // reported as such rather than thrown.
     ev.functional =
-        tb.monitor().clean() &&
+        tb.monitor().clean() && tb.sink().malformed_frames() == 0 &&
         workload::diff_outputs(
             spec, workload::reference_outputs(spec, ins), outs) == 0;
     ev.latency_cycles = tb.timing().latency_cycles;

@@ -20,7 +20,6 @@
 #include "maxj/system.hpp"
 #include "netlist/ir.hpp"
 #include "netlist/passes.hpp"
-#include "sim/engine.hpp"
 #include "synth/synthesize.hpp"
 #include "workload/workload.hpp"
 
@@ -50,16 +49,13 @@ struct EvaluateOptions {
   bool realistic_inputs = true;  ///< fDCT-derived coefficients (see tests)
   uint64_t seed = 2026;
   uint64_t max_cycles = 500000;
-  /// Which simulation engine runs the stream testbench. The compiled engine
-  /// is the default; the interpreter is the differential-testing oracle.
-  sim::EngineKind engine = sim::EngineKind::kCompiled;
   /// Stimulus lanes for the functional check. 1 (the default) runs the
-  /// classic single-stimulus testbench. N > 1 (compiled engine only) runs
-  /// N independent stimulus sets — seed, seed+1, ..., seed+N-1 — through
-  /// one lane-batched sweep (sim::BatchSimulator); `functional` then
-  /// requires every lane bit-exact and protocol-clean, while the reported
-  /// T_L/T_P come from lane 0, whose trajectory (same seed, same per-cycle
-  /// protocol) is bitwise identical to the scalar run.
+  /// single-stimulus testbench on the compiled engine. N > 1 runs N
+  /// independent stimulus sets — seed, seed+1, ..., seed+N-1 — as one job
+  /// per lane of a sim::BatchSimulator sweep; `functional` then requires
+  /// every lane bit-exact, well-framed and protocol-clean, while the
+  /// reported T_L/T_P come from lane 0, whose trajectory (same seed, same
+  /// per-cycle protocol) is bitwise identical to the scalar run.
   int lanes = 1;
   synth::SynthOptions synth;
   /// Per-request wall budget (synthesis service): armed on the measurement

@@ -6,12 +6,17 @@
 //
 //   masked   — outputs bit-exact against the golden result;
 //   sdc      — silent data corruption: outputs differ (diff vs. the ISO
-//              13818-4 C model via core/diff) with no error indication;
+//              13818-4 C model via core/diff) with no error indication, or
+//              the output framing broke (a fault moved TLAST, so a frame
+//              closed after other than 8 beats: the `protocol` sub-count);
 //   detected — a sticky "*_err" hardening output asserted, or the AXI
-//              protocol monitor recorded a violation (wrong data, but the
-//              system knows);
-//   hang     — the watchdog fired (sim::SimTimeout): the fault wedged the
+//              protocol monitor recorded a violation in a well-framed run
+//              (wrong data, but the system knows);
+//   hang     — the lane's watchdog fired: the fault wedged the
 //              TVALID/TREADY handshake.
+//
+// Precedence is hang, then detected by a hardening output, then SDC by
+// framing, then detected by the monitor, then SDC by data (fault::classify).
 //
 // The golden reference is the C model when the fault-free design is
 // bit-exact against it (every shipped flow is), and the design's own
@@ -27,11 +32,11 @@
 #include <string>
 #include <vector>
 
+#include "axis/batch.hpp"
 #include "base/deadline.hpp"
 #include "fault/model.hpp"
 #include "idct/block.hpp"
 #include "netlist/ir.hpp"
-#include "sim/engine.hpp"
 #include "synth/synthesize.hpp"
 #include "workload/workload.hpp"
 
@@ -43,6 +48,9 @@ const char* outcome_name(Outcome outcome);
 
 struct CampaignCounts {
   int masked = 0, sdc = 0, detected = 0, hang = 0;
+  /// Of `sdc`: runs whose output framing broke (a frame closed by TLAST
+  /// after other than 8 beats). Not a fifth outcome — total() excludes it.
+  int protocol = 0;
 
   int total() const { return masked + sdc + detected + hang; }
   /// Fraction of runs ending in the unacceptable outcomes (SDC or hang).
@@ -53,10 +61,9 @@ struct CampaignCounts {
 
 /// Snapshot handed to the progress callback every `progress_every`
 /// *completed* sites. Completion count — not the current site index — is
-/// the reported quantity, so the line stays meaningful under parallel
-/// execution where sites finish out of index order. Under jobs > 1 the
-/// `counts` mix is a racy-but-consistent running snapshot (other workers
-/// may finish between the count tick and the snapshot).
+/// the reported quantity, so the line stays meaningful when sites finish
+/// out of index order (lanes and workers complete them as they go).
+/// `counts` is the outcome mix of exactly those `completed` sites.
 struct CampaignProgress {
   std::string design_name;
   int completed = 0;  ///< sites finished so far
@@ -69,10 +76,6 @@ struct CampaignOptions {
   long input_seed = 1;          ///< seed for the IEEE 1180 input generator
   uint64_t max_cycles = 20000;  ///< per-run watchdog budget
   bool keep_runs = true;        ///< record the per-run (site, outcome) log
-  /// Which simulation engine runs the campaign. The compiled engine is the
-  /// default; the differential suite asserts both engines classify every
-  /// run identically.
-  sim::EngineKind engine = sim::EngineKind::kCompiled;
   /// Progress reporting cadence in completed sites; 0 disables it. The
   /// default keeps small test campaigns (a handful of sites) silent while a
   /// 1000-site bench campaign reports every 250 sites.
@@ -80,33 +83,27 @@ struct CampaignOptions {
   /// Invoked at each cadence tick. When unset, a one-line running summary
   /// goes to stderr — long campaigns are no longer silent by default. The
   /// tracer additionally records an instant event per tick when active.
-  /// Thread-safe under jobs > 1: invocations are serialized on a mutex and
-  /// rate-limited by the atomic completion counter.
+  /// Thread-safe under jobs > 1: invocations are serialized on a mutex.
   ///
   /// Crash isolation: an exception thrown by the callback can neither abort
   /// nor deadlock the campaign — it is caught, recorded once in
   /// CampaignReport::progress_error, and further callbacks are disarmed for
   /// the rest of the campaign. The outcome counts and run log are unaffected.
   std::function<void(const CampaignProgress&)> on_progress;
-  /// Worker count for the site loop. 1 (the default) runs the classic
-  /// serial loop; 0 means "all cores" (HLSHC_JOBS / hardware_concurrency);
-  /// N > 1 shards sites over a par::Pool, each worker owning one Engine
-  /// built from the shared ExecPlan. Results — counts AND the per-run log —
-  /// are bitwise identical at every jobs value: each site's classification
-  /// is a pure function of (design, site, input set).
+  /// Worker count; 0 means "all cores" (HLSHC_JOBS / hardware_concurrency).
+  /// Clamped to ceil(sites / lanes). Each worker owns one
+  /// sim::BatchSimulator over the shared ExecPlan and streams sites through
+  /// it, pulling from one cursor shared by all workers.
   int jobs = 1;
-  /// Simulation lanes per instruction-stream sweep. 0 (the default) means
-  /// par::default_lanes() (HLSHC_LANES, else 32); 1 forces the classic
-  /// scalar per-site loop. With lanes > 1 and the compiled engine, sites
-  /// shard into lane-groups and each group runs as one
-  /// sim::BatchSimulator sweep — composing with `jobs` (lane-groups shard
-  /// over the pool). Classifications — counts AND the per-run log — are
-  /// bitwise identical at every {lanes, jobs} combination: each lane
-  /// replays the exact scalar per-cycle protocol. The interpreter engine
-  /// ignores this and always runs the scalar loop.
+  /// Simulation lanes per worker's sweep. 0 (the default) means
+  /// par::default_lanes() (HLSHC_LANES, else 32); 1 is a one-lane batch.
+  /// Classifications — counts AND the per-run log — are bitwise identical
+  /// at every {lanes, jobs} combination: each lane replays the exact scalar
+  /// per-cycle protocol, and each site's classification is a pure function
+  /// of (design, site, input set).
   int lanes = 0;
   /// Per-request wall budget (synthesis service): armed on every campaign
-  /// engine, so a whole campaign aborts with DeadlineExceeded mid-run
+  /// simulator, so a whole campaign aborts with DeadlineExceeded mid-run
   /// instead of overrunning its budget site by site.
   std::shared_ptr<const Deadline> deadline;
 };
@@ -131,6 +128,18 @@ struct CampaignReport {
 /// pushed through the reference forward DCT, i.e. realistic coefficient
 /// matrices. Equivalent to the registered "idct" workload's campaign set.
 std::vector<idct::Block> ieee1180_input_set(int matrices, long seed = 1);
+
+/// Output ports whose assertion counts as fault detection: the sticky
+/// "*_err" flags the hardening transforms add.
+std::vector<netlist::NodeId> detector_outputs(const netlist::Design& d);
+
+/// The one classification rule, shared by the campaign and the oracle
+/// tests. `run.probes` holds the detector_outputs() values at the end of
+/// the run; `golden` is the fault-free output. Sets `*protocol` when the
+/// outcome is SDC by broken framing.
+Outcome classify(const workload::WorkloadSpec& spec,
+                 const std::vector<idct::Block>& golden,
+                 const axis::BatchLaneResult& run, bool* protocol = nullptr);
 
 /// One run per site; every site is validated before any run starts. The
 /// campaign stimulus, reference model and SDC judgement come from `spec`.

@@ -35,6 +35,25 @@ std::string FaultSite::to_string() const {
   return os.str();
 }
 
+sim::LaneFault to_lane_fault(const FaultSite& site) {
+  sim::LaneFault f;
+  switch (site.kind) {
+    case FaultKind::kSeuReg: f.kind = sim::LaneFault::Kind::kSeuReg; break;
+    case FaultKind::kSeuMem: f.kind = sim::LaneFault::Kind::kSeuMem; break;
+    case FaultKind::kStuckAt0: f.kind = sim::LaneFault::Kind::kStuck0; break;
+    case FaultKind::kStuckAt1: f.kind = sim::LaneFault::Kind::kStuck1; break;
+    case FaultKind::kTransient:
+      f.kind = sim::LaneFault::Kind::kTransient;
+      break;
+  }
+  f.node = site.node;
+  f.mem = site.mem;
+  f.addr = site.addr;
+  f.bit = site.bit;
+  f.cycle = site.cycle;
+  return f;
+}
+
 void validate_site(const Design& d, const FaultSite& site) {
   switch (site.kind) {
     case FaultKind::kSeuReg: {

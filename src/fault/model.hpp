@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "netlist/ir.hpp"
+#include "sim/engine.hpp"
 
 namespace hlshc::fault {
 
@@ -51,6 +52,10 @@ struct FaultSite {
 /// for kSeuMem, the bit must fit the target width, and stuck-at/transient
 /// targets must not be MemWrite sinks (whose probe value drives nothing).
 void validate_site(const netlist::Design& d, const FaultSite& site);
+
+/// The site as the simulator's fault model: the one FaultSite -> LaneFault
+/// conversion, used to arm every engine and every batch lane.
+sim::LaneFault to_lane_fault(const FaultSite& site);
 
 /// Every register bit of `d` as an SEU site injected at `cycle`.
 std::vector<FaultSite> enumerate_reg_seu_sites(const netlist::Design& d,

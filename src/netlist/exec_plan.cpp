@@ -141,7 +141,7 @@ ExecPlan::ExecPlan(const Design& d) {
 }
 
 std::shared_ptr<const ExecPlan> ExecPlan::for_design(const Design& design) {
-  // Fault campaigns build one engine per pool worker (and per lane-group)
+  // Fault campaigns build one simulator per pool worker
   // over a shared design, so first use of a design's plan can race: guard
   // the check-compile-store sequence with one process-wide mutex. Compiles
   // are one-time per design and cheap relative to a campaign, so a single

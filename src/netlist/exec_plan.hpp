@@ -21,7 +21,7 @@
 //     address/data/enable slots, in the same order the interpreter commits.
 //
 // Constants are hoisted out of the per-cycle stream into a one-time init
-// list; register loads stay in the stream (level 0) because fault injectors
+// list; register loads stay in the stream (level 0) because armed faults
 // may rewrite them per cycle.
 //
 // Plans are immutable, self-contained (no back-reference into the Design,
@@ -92,7 +92,7 @@ class ExecPlan {
   /// The cached plan for `design`, compiling it on first use. The cache
   /// lives in the design and is dropped on mutation; the returned handle
   /// stays valid regardless. Safe to call concurrently for the same design
-  /// (pool workers and lane-groups race on first compile; a process-wide
+  /// (pool workers race on first compile; a process-wide
   /// mutex serializes the check-compile-store sequence). Mutating the
   /// design concurrently with for_design is still a data race.
   static std::shared_ptr<const ExecPlan> for_design(const Design& design);

@@ -168,8 +168,8 @@ class Design {
   /// (netlist::ExecPlan). Owned here so the plan's lifetime follows the
   /// design's and mutation drops it with the other derived caches; only
   /// exec_plan.cpp reads or writes it — and only under the process-wide
-  /// compile mutex in ExecPlan::for_design(), because pool workers and
-  /// lane-groups may race on a design's first compile. Mutation (which
+  /// compile mutex in ExecPlan::for_design(), because pool workers
+  /// may race on a design's first compile. Mutation (which
   /// clears the slot) must still be externally synchronized, like every
   /// other Design method.
   const std::shared_ptr<const void>& cached_exec_plan() const {

@@ -18,7 +18,7 @@ using netlist::RegCommit;
 namespace {
 
 /// Truncate to the instruction's width, then sign-extend — the same
-/// branchless canonicalization pair as CompiledSimulator's wrap().
+/// branchless canonicalization pair as the stream kernels' wrap().
 inline int64_t wrap(uint8_t dsh, uint64_t u) {
   return static_cast<int64_t>(u << dsh) >> dsh;
 }
@@ -63,7 +63,10 @@ BatchSimulator::BatchSimulator(const netlist::Design& design, int lanes)
   base_.assign(l, 0);
   faults_.assign(l, LaneFault{});
   seu_fired_.assign(l, 0);
-  comb_slot_flag_.assign(plan_->slot_count(), 0);
+  instr_of_slot_.assign(plan_->slot_count(), -1);
+  for (size_t i = 0; i < plan_->instrs().size(); ++i)
+    instr_of_slot_[static_cast<size_t>(plan_->instrs()[i].dst)] =
+        static_cast<int64_t>(i);
   views_.resize(l);
   for (int i = 0; i < lanes_; ++i) {
     views_[static_cast<size_t>(i)].sim_ = this;
@@ -82,13 +85,10 @@ PortAccess& BatchSimulator::lane(int l) {
 void BatchSimulator::restore_consts(int lane) {
   // Constants are hoisted out of the per-cycle stream; rematerialize this
   // lane's const slots so a transform armed earlier cannot outlive itself
-  // (mirrors CompiledSimulator::on_injector_changed).
+  // (the interpreter recomputes constants every settle).
   if (retired_[static_cast<size_t>(lane)])
     return;  // the next reset_all() restores everything
-  const int p = phys_[static_cast<size_t>(lane)];
-  for (const ExecInstr& in : plan_->const_instrs())
-    values_[static_cast<size_t>(in.dst) * static_cast<size_t>(active_) +
-            static_cast<size_t>(p)] = in.imm;
+  for (const ExecInstr& in : plan_->const_instrs()) cell(lane, in.dst) = in.imm;
 }
 
 void BatchSimulator::revive_lanes() {
@@ -133,8 +133,8 @@ void BatchSimulator::reset_all() {
   cycle_ = 0;
   evaluated_ = false;
   std::fill(seu_fired_.begin(), seu_fired_.end(), uint8_t{0});
-  // Engine::reset() ends with injector_->at_cycle(): cycle-0 SEUs land on
-  // the reset state, before the first settle.
+  // Engine::reset() ends with the due-SEU check: cycle-0 SEUs land on the
+  // reset state, before the first settle.
   seu_flips();
 }
 
@@ -147,9 +147,7 @@ void BatchSimulator::poke_input(int lane, NodeId id, int64_t value) {
                              << design_.name() << '\'');
   HLSHC_CHECK(!retired_[static_cast<size_t>(lane)],
               "poke on retired lane " << lane);
-  const int p = phys_[static_cast<size_t>(lane)];
-  values_[static_cast<size_t>(id) * static_cast<size_t>(active_) +
-          static_cast<size_t>(p)] = canon(n.width, value);
+  cell(lane, id) = canon(n.width, value);
   evaluated_ = false;
 }
 
@@ -172,9 +170,7 @@ StreamKernelFn select_stream_kernel(int lanes) {
 }
 
 void BatchSimulator::apply_comb_entry(const CombEntry& e) {
-  int64_t& v =
-      values_[static_cast<size_t>(e.slot) * static_cast<size_t>(active_) +
-              static_cast<size_t>(phys_[static_cast<size_t>(e.lane)])];
+  int64_t& v = cell(e.lane, e.slot);
   const int64_t m = static_cast<int64_t>(uint64_t{1} << e.bit);
   switch (e.kind) {
     case LaneFault::Kind::kStuck0:
@@ -192,29 +188,30 @@ void BatchSimulator::apply_comb_entry(const CombEntry& e) {
 }
 
 void BatchSimulator::eval_stream_injected() {
-  // Inputs and constants have no per-cycle instruction; flagged inputs
-  // transform in place, flagged constants rematerialize from the immediate
-  // and then transform (mirrors exec_stream_injected).
+  // The stream runs in segments that end at armed slots; each transform
+  // rewrites its slot right after the instruction computing it, before any
+  // consumer reads it. Inputs and constants have no instruction: they
+  // transform first (constants rematerialize from the immediate, then
+  // transform, as the interpreter recomputes them every settle).
+  const ExecInstr* instrs = plan_->instrs().data();
+  const size_t n = plan_->instrs().size();
+  size_t done = 0;
   for (const CombEntry& e : comb_entries_) {
-    if (e.is_const)
-      values_[static_cast<size_t>(e.slot) * static_cast<size_t>(active_) +
-              static_cast<size_t>(phys_[static_cast<size_t>(e.lane)])] =
-          e.imm;
-    if (e.is_input || e.is_const) apply_comb_entry(e);
-  }
-  const uint8_t* flag = comb_slot_flag_.data();
-  for (const ExecInstr& in : plan_->instrs()) {
-    exec_instr_lanes(in, values_.data(), state_.data(), &mem_, active_);
-    if (flag[in.dst]) {
-      for (const CombEntry& e : comb_entries_)
-        if (e.slot == in.dst && !e.is_input && !e.is_const)
-          apply_comb_entry(e);
+    if (e.is_const) cell(e.lane, e.slot) = e.imm;
+    const size_t end = static_cast<size_t>(e.after + 1);
+    if (end > done) {
+      stream_kernel_(instrs + done, end - done, values_.data(), state_.data(),
+                     &mem_, active_);
+      done = end;
     }
+    apply_comb_entry(e);
   }
+  stream_kernel_(instrs + done, n - done, values_.data(), state_.data(), &mem_,
+                 active_);
 }
 
 void BatchSimulator::eval_all() {
-  if (!comb_armed_)
+  if (comb_entries_.empty())
     stream_kernel_(plan_->instrs().data(), plan_->instrs().size(),
                    values_.data(), state_.data(), &mem_, active_);
   else
@@ -222,7 +219,7 @@ void BatchSimulator::eval_all() {
   evaluated_ = true;
 }
 
-void BatchSimulator::commit_all() {
+void BatchSimulator::latch_all() {
   const size_t L = static_cast<size_t>(active_);
   // Latch registers: reads go to the pre-edge value slots, writes to the
   // separate state array, so ordering within the loop cannot matter.
@@ -250,33 +247,54 @@ void BatchSimulator::commit_all() {
       mem[w * L + l] = data[l];
     }
   }
+  ++cycle_;
+  seu_flips();
+  evaluated_ = false;
 }
 
-void BatchSimulator::flip_state_bit(int lane, const LaneFault& f) {
-  const size_t L = static_cast<size_t>(active_);
-  const size_t p = static_cast<size_t>(phys_[static_cast<size_t>(lane)]);
-  if (f.kind == LaneFault::Kind::kSeuReg) {
-    int64_t& s = state_[static_cast<size_t>(f.node) * L + p];
-    s = canon(design_.node(f.node).width,
-              s ^ static_cast<int64_t>(uint64_t{1} << f.bit));
-  } else if (f.kind == LaneFault::Kind::kSeuMem) {
-    const MemShape& shape = plan_->mem_shapes()[static_cast<size_t>(f.mem)];
-    int64_t& w =
-        mem_[static_cast<size_t>(f.mem)][static_cast<size_t>(f.addr) * L + p];
-    w = canon(shape.width, w ^ static_cast<int64_t>(uint64_t{1} << f.bit));
-  }
+BitVec BatchSimulator::mem_peek(int lane, int mem_id, int addr) const {
+  const size_t m = static_cast<size_t>(mem_id);
+  return BitVec(plan_->mem_shapes()[m].width,
+                mem_[m][at(static_cast<size_t>(addr), lane)]);
+}
+
+void BatchSimulator::mem_poke(int lane, int mem_id, int addr,
+                              const BitVec& value) {
+  const size_t m = static_cast<size_t>(mem_id);
+  mem_[m][at(static_cast<size_t>(addr), lane)] =
+      canon(plan_->mem_shapes()[m].width, value.to_int64());
+}
+
+void BatchSimulator::flip_reg_bit(int lane, NodeId reg, int bit) {
+  int64_t& s = state_[at(static_cast<size_t>(reg), lane)];
+  s = canon(design_.node(reg).width,
+            s ^ static_cast<int64_t>(uint64_t{1} << bit));
+  evaluated_ = false;
+}
+
+void BatchSimulator::flip_mem_bit(int lane, int mem_id, int addr, int bit) {
+  const size_t m = static_cast<size_t>(mem_id);
+  int64_t& w = mem_[m][at(static_cast<size_t>(addr), lane)];
+  w = canon(plan_->mem_shapes()[m].width,
+            w ^ static_cast<int64_t>(uint64_t{1} << bit));
+  evaluated_ = false;
+}
+
+void BatchSimulator::fire_seu(int lane, const LaneFault& f) {
+  if (f.kind == LaneFault::Kind::kSeuReg)
+    flip_reg_bit(lane, f.node, f.bit);
+  else
+    flip_mem_bit(lane, f.mem, f.addr, f.bit);
+  seu_fired_[static_cast<size_t>(lane)] = 1;
 }
 
 void BatchSimulator::seu_flips() {
   for (int l = 0; l < lanes_; ++l) {
     if (retired_[static_cast<size_t>(l)]) continue;
     const LaneFault& f = faults_[static_cast<size_t>(l)];
-    if (f.kind != LaneFault::Kind::kSeuReg &&
-        f.kind != LaneFault::Kind::kSeuMem)
-      continue;
+    if (!f.seu()) continue;
     if (seu_fired_[static_cast<size_t>(l)] || cycle_ != f.cycle) continue;
-    flip_state_bit(l, f);
-    seu_fired_[static_cast<size_t>(l)] = 1;
+    fire_seu(l, f);
   }
 }
 
@@ -287,61 +305,38 @@ void BatchSimulator::step_all() {
     deadline_->check("batched simulation of design '" + design_.name() +
                      '\'');
   if (!evaluated_) eval_all();
-  commit_all();
-  ++cycle_;
-  seu_flips();
-  evaluated_ = false;
+  latch_all();
   eval_all();
 }
 
 void BatchSimulator::rebuild_comb_index() {
   comb_entries_.clear();
-  std::fill(comb_slot_flag_.begin(), comb_slot_flag_.end(), uint8_t{0});
-  comb_armed_ = false;
   for (int l = 0; l < lanes_; ++l) {
     if (retired_[static_cast<size_t>(l)]) continue;
     const LaneFault& f = faults_[static_cast<size_t>(l)];
-    if (f.kind != LaneFault::Kind::kStuck0 &&
-        f.kind != LaneFault::Kind::kStuck1 &&
-        f.kind != LaneFault::Kind::kTransient)
-      continue;
+    if (!f.combinational()) continue;
     const netlist::Node& n = design_.node(f.node);
     CombEntry e;
+    e.after = instr_of_slot_[static_cast<size_t>(f.node)];
     e.slot = static_cast<int32_t>(f.node);
     e.lane = l;
     e.kind = f.kind;
     e.bit = f.bit;
     e.cycle = f.cycle;
     e.dsh = static_cast<uint8_t>(64 - n.width);
-    e.is_input = n.op == Op::Input;
     e.is_const = n.op == Op::Const;
     e.imm = n.imm;
     comb_entries_.push_back(e);
-    if (!e.is_input && !e.is_const) comb_slot_flag_[static_cast<size_t>(e.slot)] = 1;
-    comb_armed_ = true;
   }
+  std::stable_sort(
+      comb_entries_.begin(), comb_entries_.end(),
+      [](const CombEntry& a, const CombEntry& b) { return a.after < b.after; });
 }
 
 void BatchSimulator::arm_lane_fault(int lane, const LaneFault& fault) {
   HLSHC_CHECK(lane >= 0 && lane < lanes_,
               "lane " << lane << " outside [0, " << lanes_ << ')');
-  if (fault.kind != LaneFault::Kind::kNone &&
-      fault.kind != LaneFault::Kind::kSeuMem) {
-    HLSHC_CHECK(fault.node != netlist::kInvalidNode &&
-                    static_cast<size_t>(fault.node) < design_.node_count(),
-                "lane fault targets invalid node " << fault.node);
-    HLSHC_CHECK(fault.bit >= 0 && fault.bit < design_.node(fault.node).width,
-                "lane fault bit " << fault.bit << " outside node width");
-  }
-  if (fault.kind == LaneFault::Kind::kSeuMem) {
-    HLSHC_CHECK(fault.mem >= 0 &&
-                    static_cast<size_t>(fault.mem) < plan_->mem_shapes().size(),
-                "lane fault targets invalid memory " << fault.mem);
-    const MemShape& shape = plan_->mem_shapes()[static_cast<size_t>(fault.mem)];
-    HLSHC_CHECK(fault.addr >= 0 && fault.addr < shape.depth &&
-                    fault.bit >= 0 && fault.bit < shape.width,
-                "lane fault addr/bit outside memory shape");
-  }
+  validate_lane_fault(design_, fault);
   LaneFault rebased = fault;
   rebased.cycle += base_[static_cast<size_t>(lane)];  // lane -> sweep clock
   faults_[static_cast<size_t>(lane)] = rebased;
@@ -363,30 +358,21 @@ void BatchSimulator::refill_lane(int lane, const LaneFault& fault) {
                                            "live instead");
   // Per-lane Engine::reset(): this lane's column back to the reset state,
   // every other column untouched.
-  const size_t L = static_cast<size_t>(active_);
-  const size_t p = static_cast<size_t>(phys_[static_cast<size_t>(lane)]);
   for (const RegCommit& rc : plan_->reg_commits())
-    state_[static_cast<size_t>(rc.reg) * L + p] = rc.init;
+    state_[at(static_cast<size_t>(rc.reg), lane)] = rc.init;
   for (size_t m = 0; m < mem_.size(); ++m) {
-    LaneVec& mem = mem_[m];
     const size_t depth = static_cast<size_t>(plan_->mem_shapes()[m].depth);
-    for (size_t w = 0; w < depth; ++w) mem[w * L + p] = 0;
+    for (size_t w = 0; w < depth; ++w) mem_[m][at(w, lane)] = 0;
   }
-  for (NodeId in : design_.inputs())
-    values_[static_cast<size_t>(in) * L + p] = 0;
+  for (NodeId in : design_.inputs()) cell(lane, in) = 0;
   base_[static_cast<size_t>(lane)] = cycle_;
   // Validates, restores consts, rebuilds the comb index, and rebases the
   // fault cycle onto the sweep clock (arm_lane_fault reads base_).
   arm_lane_fault(lane, fault);
-  // Engine::reset() ends with the injector's cycle hook: a lane-cycle-0
-  // SEU lands on the fresh reset state, before the lane's first settle.
+  // Engine::reset() ends with the due-SEU check: a lane-cycle-0 SEU lands
+  // on the fresh reset state, before the lane's first settle.
   const LaneFault& f = faults_[static_cast<size_t>(lane)];
-  if ((f.kind == LaneFault::Kind::kSeuReg ||
-       f.kind == LaneFault::Kind::kSeuMem) &&
-      f.cycle == cycle_) {
-    flip_state_bit(lane, f);
-    seu_fired_[static_cast<size_t>(lane)] = 1;
-  }
+  if (f.seu() && f.cycle == cycle_) fire_seu(lane, f);
 }
 
 void BatchSimulator::retire_lane(int lane) {
@@ -399,7 +385,7 @@ void BatchSimulator::retire_lane(int lane) {
   // Drop the lane's comb transforms (a fully-healthy remainder regains the
   // fast stream path; transforms on a dead column would be harmless but
   // wasted work).
-  if (comb_armed_) rebuild_comb_index();
+  if (!comb_entries_.empty()) rebuild_comb_index();
   // Deferred compaction: physically dropping columns costs a full pass over
   // storage, so only pay it when at least half the columns are dead. Until
   // then the dead columns keep computing values nobody reads.

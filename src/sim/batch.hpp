@@ -1,33 +1,38 @@
-// sim::BatchSimulator — lane-batched execution of one shared ExecPlan.
+// sim::BatchSimulator — the one compiled execution path: lane-batched
+// execution of one shared ExecPlan.
 //
 // A fault campaign (or a multi-stimulus evaluation) runs the *same* design
-// over N independent input/fault trajectories. The scalar engines fetch and
-// dispatch the instruction stream once per run; this backend fetches each
+// over N independent input/fault trajectories. This backend fetches each
 // 48-byte ExecInstr once and applies it across `lanes` independent runs in
-// an inner loop the compiler can auto-vectorize:
+// an inner loop the compiler can auto-vectorize; one lane is the scalar
+// compiled engine (sim::CompiledSimulator is a one-lane view of this class):
 //
 //   * value storage is lane-major per slot: slot s of lane l lives at
 //     values_[s * lanes + l], in 64-byte-aligned contiguous arrays, so the
 //     per-instruction inner loop reads/writes `lanes` consecutive words;
-//   * the per-cycle loop is specialized for fixed trip counts (4/8/16/32
+//   * the per-cycle loop is specialized for fixed trip counts (1/2/4/8/16/32
 //     lanes) with a generic path for any other count, and the whole
-//     kernel set is compiled per-ISA (baseline + x86-64-v3/AVX2) with the
+//     kernel set is compiled per-ISA (baseline + x86-64-v3/v4) with the
 //     widest supported set picked at runtime (sim/batch_kernels.hpp);
 //   * registers, memories and the commit schedules are replicated per lane;
 //   * per-lane poke/peek/reset APIs (poke_input(lane, id, v),
 //     value(lane, id), step_all()) advance all lanes in lockstep.
 //
-// Fault injection is per-lane: each lane owns its armed site (LaneFault) and
-// flip schedule. The transforms reproduce fault::SiteInjector's BitVec math
-// in canonical sign-extended int64 form, and the cycle protocol reproduces
-// Engine::reset()/step() ordering exactly (including the double eval per
-// testbench cycle and the cycle-0 SEU flip on reset), so every lane's
-// trajectory is bitwise-identical to the same run on a scalar
-// CompiledSimulator — asserted every-node-every-cycle by tests/batch_test.
+// Fault injection is per-lane: each lane owns its armed site (LaneFault).
+// Armed stuck-at/transient faults split the instruction stream into
+// segments at their target slots; every segment runs on the same stream
+// kernel and the transforms apply at segment ends, so a faulted sweep
+// executes the same instructions as a clean one. The transforms are the
+// interpreter's BitVec fault math (sim::Simulator) in canonical int64 form,
+// and the cycle protocol reproduces Engine::reset()/step() ordering exactly
+// (including the double eval per testbench cycle and the cycle-0 SEU flip
+// on reset), so every lane's trajectory is bitwise-identical to the same
+// run on the interpreter oracle — asserted every-node-every-cycle by
+// tests/batch_test.
 //
 // Lanes that diverge (finish, detect, hang) are masked out by the harness
 // (axis::BatchStreamTestbench) rather than forcing a batch-wide slow path:
-// the batch keeps stepping, finished lanes simply stop being driven/read.
+// the batch keeps stepping, finished lanes are refilled or retired.
 #pragma once
 
 #include <cstddef>
@@ -69,26 +74,6 @@ struct CacheAlignedAlloc {
 /// Lane-major value storage: 64-byte aligned, contiguous.
 using LaneVec = std::vector<int64_t, CacheAlignedAlloc<int64_t>>;
 
-/// One lane's armed fault. Mirrors fault::FaultSite without depending on
-/// src/fault (which sits above sim in the layer order); fault::run_campaign
-/// converts sites to LaneFaults when it shards a campaign into lane-groups.
-struct LaneFault {
-  enum class Kind : uint8_t {
-    kNone,       ///< lane runs fault-free
-    kStuck0,     ///< combinational bit forced to 0 every eval
-    kStuck1,     ///< combinational bit forced to 1 every eval
-    kTransient,  ///< combinational bit inverted during one cycle's settle
-    kSeuReg,     ///< one register bit flips once at `cycle`
-    kSeuMem,     ///< one memory-word bit flips once at `cycle`
-  };
-  Kind kind = Kind::kNone;
-  netlist::NodeId node = netlist::kInvalidNode;  ///< target (not kSeuMem)
-  int mem = -1;        ///< memory id (kSeuMem)
-  int addr = 0;        ///< word address (kSeuMem)
-  int bit = 0;         ///< bit index within the target value
-  uint64_t cycle = 0;  ///< injection cycle (SEU/transient)
-};
-
 class BatchSimulator {
  public:
   /// Compiles (or reuses) the design's ExecPlan and replicates state for
@@ -116,9 +101,13 @@ class BatchSimulator {
   /// Combinational settle of all lanes (idempotent for fixed inputs/state).
   void eval_all();
 
-  /// Engine::step() for every lane in lockstep: settle, latch, advance the
-  /// cycle counter, apply due SEU flips, settle again. Polls the armed
-  /// deadline every 256 cycles like the scalar engines.
+  /// The clock edge of every lane: latch registers and memory writes from
+  /// the settled values, advance the cycle counter, apply due SEU flips.
+  /// The caller settles before (eval_all) and after, as Engine::step does.
+  void latch_all();
+
+  /// Engine::step() for every lane in lockstep: settle, latch_all(), settle
+  /// again. Polls the armed deadline every 256 cycles like Engine::step.
   void step_all();
 
   /// Drive one lane's Input node (canonicalized exactly like Engine::poke).
@@ -128,14 +117,25 @@ class BatchSimulator {
   /// must not be retired.
   BitVec value(int lane, netlist::NodeId id) const;
   int64_t value_i64(int lane, netlist::NodeId id) const {
-    return values_[static_cast<size_t>(id) * static_cast<size_t>(active_) +
-                   static_cast<size_t>(phys_[static_cast<size_t>(lane)])];
+    return values_[at(static_cast<size_t>(id), lane)];
   }
 
+  /// One lane's memory word (peek) / overwrite of it (poke, canonicalized
+  /// to the memory width).
+  BitVec mem_peek(int lane, int mem_id, int addr) const;
+  void mem_poke(int lane, int mem_id, int addr, const BitVec& value);
+
+  /// SEU pokes on one live lane: flip one bit of a register's current state
+  /// / one bit of one memory word. Targets are validated by the caller
+  /// (Engine::flip_reg_bit / flip_mem_bit, arm_lane_fault).
+  void flip_reg_bit(int lane, netlist::NodeId reg, int bit);
+  void flip_mem_bit(int lane, int mem_id, int addr, int bit);
+
   /// Arms `fault` on one lane (replacing whatever was armed), healing any
-  /// const slot the previous fault had rewritten. kNone disarms. The
-  /// fault's cycle is interpreted on the lane's own clock (lane_cycle), so
-  /// arming after a refill behaves exactly like arming before reset_all.
+  /// const slot the previous fault had rewritten. kNone disarms. Validated
+  /// by sim::validate_lane_fault. The fault's cycle is interpreted on the
+  /// lane's own clock (lane_cycle), so arming after a refill behaves
+  /// exactly like arming before reset_all.
   void arm_lane_fault(int lane, const LaneFault& fault);
   void disarm_lane_fault(int lane) { arm_lane_fault(lane, LaneFault{}); }
 
@@ -194,24 +194,35 @@ class BatchSimulator {
 
   /// One armed combinational transform, pre-resolved for the exec loop.
   struct CombEntry {
+    /// Instruction index whose result the transform rewrites; -1 for
+    /// inputs and constants, which have no per-cycle instruction and
+    /// transform before the stream runs.
+    int64_t after = -1;
     int32_t slot = 0;  ///< target node / value slot
     int32_t lane = 0;
     LaneFault::Kind kind = LaneFault::Kind::kNone;
     int bit = 0;
     uint64_t cycle = 0;   ///< transient fire cycle
     uint8_t dsh = 63;     ///< 64 - width: canonicalization shift pair
-    bool is_input = false;
     bool is_const = false;
     int64_t imm = 0;  ///< const rematerialization value (is_const only)
   };
 
   void eval_stream_injected();
   void apply_comb_entry(const CombEntry& e);
-  void commit_all();
+  /// Index of (row, lane) in a lane-major array: slot, register or memory
+  /// word `row`, the lane's physical column.
+  size_t at(size_t row, int lane) const {
+    return row * static_cast<size_t>(active_) +
+           static_cast<size_t>(phys_[static_cast<size_t>(lane)]);
+  }
+  int64_t& cell(int lane, netlist::NodeId slot) {
+    return values_[at(static_cast<size_t>(slot), lane)];
+  }
   void seu_flips();          ///< fire due SEU flips (cycle_ == fault.cycle)
+  void fire_seu(int lane, const LaneFault& f);
   void restore_consts(int lane);
   void rebuild_comb_index();
-  void flip_state_bit(int lane, const LaneFault& f);
   void compact_dead();       ///< drop every dead column from storage
   void revive_lanes();       ///< undo retirement: full-width arrays again
 
@@ -247,9 +258,11 @@ class BatchSimulator {
 
   std::vector<LaneFault> faults_;      ///< per logical lane; kNone = disarmed
   std::vector<uint8_t> seu_fired_;     ///< per logical lane: SEU applied
-  std::vector<CombEntry> comb_entries_;      ///< armed comb faults, all lanes
-  std::vector<uint8_t> comb_slot_flag_;      ///< per slot: any lane armed
-  bool comb_armed_ = false;
+  /// Armed comb faults of all live lanes, ordered by `after`.
+  std::vector<CombEntry> comb_entries_;
+  /// Per slot: index of the instruction computing it, -1 for inputs and
+  /// constants (built once; segments the stream at armed slots).
+  std::vector<int64_t> instr_of_slot_;
   std::vector<LaneView> views_;
 };
 

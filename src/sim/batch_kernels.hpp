@@ -23,8 +23,9 @@
 
 namespace hlshc::sim {
 
-/// Executes the whole per-cycle instruction stream across all lanes of the
-/// lane-major value/state/memory arrays.
+/// Executes `n` consecutive instructions of the per-cycle stream (the whole
+/// stream, or one segment between armed fault slots) across all lanes of
+/// the lane-major value/state/memory arrays.
 using StreamKernelFn = void (*)(const netlist::ExecInstr* instrs, size_t n,
                                 int64_t* values, int64_t* state,
                                 std::vector<LaneVec>* mem, int lanes);
@@ -45,11 +46,5 @@ StreamKernelFn select_stream_kernel_v4(int lanes);
 /// Runtime ISA dispatch: the widest kernel set this CPU supports, for the
 /// given lane count (fixed-trip 4/8/16 specializations, generic otherwise).
 StreamKernelFn select_stream_kernel(int lanes);
-
-/// Single-instruction executor (baseline ISA, runtime lane count) for the
-/// fault-injected slow path, which interleaves per-slot transforms with the
-/// stream and so cannot use the one-shot stream kernel.
-void exec_instr_lanes(const netlist::ExecInstr& in, int64_t* values,
-                      int64_t* state, std::vector<LaneVec>* mem, int lanes);
 
 }  // namespace hlshc::sim

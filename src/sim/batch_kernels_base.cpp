@@ -13,9 +13,4 @@ StreamKernelFn select_stream_kernel_base(int lanes) {
   return kernels_base::select(lanes);
 }
 
-void exec_instr_lanes(const netlist::ExecInstr& in, int64_t* values,
-                      int64_t* state, std::vector<LaneVec>* mem, int lanes) {
-  kernels_base::exec_lanes<0>(in, values, state, *mem, lanes);
-}
-
 }  // namespace hlshc::sim

@@ -17,7 +17,6 @@ using netlist::Op;
 
 Engine::Engine(const netlist::Design& design) : design_(design) {
   design_.validate();
-  inject_mask_.assign(design_.node_count(), 0);
 }
 
 void Engine::reset() {
@@ -25,7 +24,17 @@ void Engine::reset() {
   cycle_ = 0;
   evaluated_ = false;
   act_prev_valid_ = false;  // no toggle accounting across a reset
-  if (injector_) injector_->at_cycle(*this);
+  seu_fired_ = false;
+  fire_due_seu();
+}
+
+void Engine::fire_due_seu() {
+  if (!fault_.seu() || seu_fired_ || cycle_ != fault_.cycle) return;
+  if (fault_.kind == LaneFault::Kind::kSeuReg)
+    flip_reg_bit(fault_.node, fault_.bit);
+  else
+    flip_mem_bit(fault_.mem, fault_.addr, fault_.bit);
+  seu_fired_ = true;
 }
 
 void Engine::eval() {
@@ -59,7 +68,7 @@ void Engine::step() {
     commit_state();
   }
   ++cycle_;
-  if (injector_) injector_->at_cycle(*this);
+  fire_due_seu();
   evaluated_ = false;
   eval();
 }
@@ -172,18 +181,41 @@ int64_t Engine::output_i64(std::string_view port) const {
   return output(port).to_int64();
 }
 
-void Engine::set_fault_injector(FaultInjector* injector) {
-  std::vector<NodeId> targets;
-  if (injector) {
-    targets = injector->combinational_targets();
-    for (NodeId id : targets) design_.node(id);  // validates the id
+void validate_lane_fault(const netlist::Design& design,
+                         const LaneFault& fault) {
+  if (fault.kind == LaneFault::Kind::kNone) return;
+  if (fault.kind == LaneFault::Kind::kSeuMem) {
+    HLSHC_CHECK(fault.mem >= 0 &&
+                    static_cast<size_t>(fault.mem) < design.memories().size(),
+                "fault targets invalid memory " << fault.mem);
+    const netlist::Memory& m =
+        design.memories()[static_cast<size_t>(fault.mem)];
+    HLSHC_CHECK(fault.addr >= 0 && fault.addr < m.depth && fault.bit >= 0 &&
+                    fault.bit < m.width,
+                "fault addr " << fault.addr << " / bit " << fault.bit
+                              << " outside memory shape " << m.depth << 'x'
+                              << m.width);
+    return;
   }
-  // Commit only after every target validated, so a rejected injector is
-  // never left armed.
-  std::fill(inject_mask_.begin(), inject_mask_.end(), 0);
-  injector_ = injector;
-  for (NodeId id : targets) inject_mask_[static_cast<size_t>(id)] = 1;
-  on_injector_changed();
+  HLSHC_CHECK(fault.node != kInvalidNode &&
+                  static_cast<size_t>(fault.node) < design.node_count(),
+              "fault targets invalid node " << fault.node);
+  const Node& n = design.node(fault.node);
+  HLSHC_CHECK(fault.kind != LaneFault::Kind::kSeuReg || n.op == Op::Reg,
+              "SEU target node " << fault.node << " ("
+                                 << netlist::op_name(n.op)
+                                 << ") is not a register");
+  HLSHC_CHECK(fault.bit >= 0 && fault.bit < n.width,
+              "fault bit " << fault.bit << " outside node width " << n.width);
+}
+
+void Engine::arm_fault(const LaneFault& fault) {
+  validate_lane_fault(design_, fault);
+  fault_ = fault;
+  comb_node_ = fault.combinational() ? fault.node : kInvalidNode;
+  seu_fired_ = false;
+  evaluated_ = false;
+  on_fault_armed();
 }
 
 void Engine::flip_reg_bit(NodeId reg, int bit) {

@@ -5,19 +5,19 @@
 // fault campaigns (src/fault), VCD tracing and the bench drivers — programs
 // against `sim::Engine`. Two implementations exist:
 //
-//   * sim::Simulator (simulator.hpp) — the legacy interpreter: a per-node
-//     walk over the netlist graph in topological order. Simple, obviously
-//     correct, and kept as the differential-testing oracle.
-//   * sim::CompiledSimulator (compiled.hpp) — the compiled engine: executes
-//     a levelized flat instruction stream (netlist::ExecPlan) over dense
-//     word-packed value slots with zero per-cycle allocation. Several times
-//     faster; the default for campaigns and benchmarks.
+//   * sim::Simulator (simulator.hpp) — the interpreter: a per-node walk
+//     over the netlist graph in topological order, in BitVec math. Simple,
+//     obviously correct, and kept as the differential-testing oracle.
+//   * sim::CompiledSimulator (compiled.hpp) — a one-lane view over
+//     sim::BatchSimulator (batch.hpp), the one compiled execution path:
+//     the ExecPlan instruction stream over dense int64 value slots.
 //
 // The base class owns the two-phase cycle protocol (eval / commit / edge),
-// the cycle counter and watchdog budget, port name resolution, and
-// fault-injector arming, so both engines expose byte-identical semantics:
-// the differential suite (tests/engine_diff_test.cpp) asserts identical
-// outputs, cycle counts and fault classifications.
+// the cycle counter and watchdog budget, port name resolution, and the one
+// fault model (LaneFault: arming, validation and SEU timing), so both
+// engines expose byte-identical semantics: the differential suite
+// (tests/engine_diff_test.cpp) asserts identical outputs, cycle counts and
+// fault classifications.
 #pragma once
 
 #include <cstdint>
@@ -100,33 +100,37 @@ struct ActivityProfile {
   std::vector<uint64_t> mem_writes;  ///< indexed by memory id
 };
 
-/// Non-invasive fault-injection hook consulted by the engine, so faults
-/// can be armed on a built design without rebuilding it (src/fault provides
-/// the concrete SEU / stuck-at / transient injectors).
-class FaultInjector {
- public:
-  virtual ~FaultInjector() = default;
+/// One armed fault, in the sim layer's own terms (src/fault sits above sim
+/// in the layer order; fault::to_lane_fault converts its FaultSite). Every
+/// engine speaks this one fault model: sim::Simulator applies it in BitVec
+/// math, sim::BatchSimulator per lane in canonical int64 math.
+struct LaneFault {
+  enum class Kind : uint8_t {
+    kNone,       ///< runs fault-free
+    kStuck0,     ///< combinational bit forced to 0 every settle
+    kStuck1,     ///< combinational bit forced to 1 every settle
+    kTransient,  ///< combinational bit inverted during one cycle's settles
+    kSeuReg,     ///< one register bit flips once at `cycle`
+    kSeuMem,     ///< one memory-word bit flips once at `cycle`
+  };
+  Kind kind = Kind::kNone;
+  netlist::NodeId node = netlist::kInvalidNode;  ///< target (not kSeuMem)
+  int mem = -1;        ///< memory id (kSeuMem)
+  int addr = 0;        ///< word address (kSeuMem)
+  int bit = 0;         ///< bit index within the target value
+  uint64_t cycle = 0;  ///< injection cycle (SEU/transient)
 
-  /// Nodes whose combinational value transform() may rewrite (stuck-at and
-  /// transient faults). Queried once when the injector is armed.
-  virtual std::vector<netlist::NodeId> combinational_targets() const {
-    return {};
+  bool combinational() const {
+    return kind == Kind::kStuck0 || kind == Kind::kStuck1 ||
+           kind == Kind::kTransient;
   }
-
-  /// Applied to each target's value as eval() computes it. Must be a pure
-  /// function of (id, value, cycle) so eval() stays idempotent.
-  virtual BitVec transform(netlist::NodeId id, const BitVec& value,
-                           uint64_t cycle) {
-    (void)id;
-    (void)cycle;
-    return value;
-  }
-
-  /// State hook: called once per simulated cycle (at reset for cycle 0 and
-  /// after every clock edge, before combinational settle). May corrupt
-  /// register or memory state via flip_reg_bit()/flip_mem_bit().
-  virtual void at_cycle(Engine& engine) { (void)engine; }
+  bool seu() const { return kind == Kind::kSeuReg || kind == Kind::kSeuMem; }
 };
+
+/// Throws hlshc::Error unless `fault` names a real bit of `design`: an
+/// existing node (any op) for the combinational kinds, a register for
+/// kSeuReg, an existing memory word for kSeuMem. kNone always passes.
+void validate_lane_fault(const netlist::Design& design, const LaneFault& fault);
 
 class Engine : public PortAccess {
  public:
@@ -186,9 +190,13 @@ class Engine : public PortAccess {
     return deadline_;
   }
 
-  /// Arms (or, with nullptr, disarms) a fault injector. The injector must
-  /// outlive its armed period; its combinational targets are validated here.
-  void set_fault_injector(FaultInjector* injector);
+  /// Arms `fault`, replacing whatever was armed; kNone disarms. The fault
+  /// is validated first, so a rejected one leaves the previous arming in
+  /// place. An SEU fires once, when the cycle counter reaches fault.cycle
+  /// (a cycle-0 SEU lands on the reset state); a stuck-at or transient
+  /// rewrites its target's value at every settle.
+  void arm_fault(const LaneFault& fault);
+  void disarm_fault() { arm_fault(LaneFault{}); }
 
   /// SEU pokes: flip one bit of a register's current state / one bit of one
   /// memory word. Validates the target and throws hlshc::Error on a bad one.
@@ -219,9 +227,9 @@ class Engine : public PortAccess {
   virtual void poke_input(netlist::NodeId id, int64_t value) = 0;
   virtual void do_flip_reg_bit(netlist::NodeId reg, int bit, int width) = 0;
   virtual void do_flip_mem_bit(int mem_id, int addr, int bit, int width) = 0;
-  /// Called after inject_mask_ changed, so engines can rebuild any derived
+  /// Called after fault_ changed, so engines can rebuild any derived
   /// injection structures.
-  virtual void on_injector_changed() {}
+  virtual void on_fault_armed() {}
 
   /// Dump every node's current value, one canonical sign-extended int64 per
   /// node id, into `out` (node_count() entries). Both engines store values
@@ -234,11 +242,15 @@ class Engine : public PortAccess {
   uint64_t cycle_budget_ = 0;  ///< 0 = unbounded
   std::shared_ptr<const Deadline> deadline_;  ///< nullptr = unbounded
   bool evaluated_ = false;
-  FaultInjector* injector_ = nullptr;
-  std::vector<uint8_t> inject_mask_;  ///< per-node: transform() applies
+  LaneFault fault_;  ///< kNone = fault-free
+  /// fault_.node for a combinational fault, else kInvalidNode.
+  netlist::NodeId comb_node_ = netlist::kInvalidNode;
 
  private:
   void accumulate_activity();
+  void fire_due_seu();  ///< flips the armed SEU's bit at its cycle, once
+
+  bool seu_fired_ = false;
 
   // Activity-profiling state (set_activity_enabled builds the watch lists).
   bool activity_ = false;

@@ -108,9 +108,22 @@ void Simulator::compute(NodeId id) {
       values_[i] = in(1);  // value flows through for probing
       break;
   }
-  if (inject_mask_[i])
-    values_[i] =
-        BitVec(w, injector_->transform(id, values_[i], cycle_).to_int64());
+  if (id == comb_node_) values_[i] = apply_comb_fault(values_[i]);
+}
+
+BitVec Simulator::apply_comb_fault(const BitVec& value) const {
+  const int w = value.width();
+  const BitVec mask(w, static_cast<int64_t>(uint64_t{1} << fault_.bit));
+  switch (fault_.kind) {
+    case LaneFault::Kind::kStuck0:
+      return BitVec::band(value, BitVec::bnot(mask, w), w);
+    case LaneFault::Kind::kStuck1:
+      return BitVec::bor(value, mask, w);
+    case LaneFault::Kind::kTransient:
+      return cycle_ == fault_.cycle ? BitVec::bxor(value, mask, w) : value;
+    default:
+      return value;
+  }
 }
 
 void Simulator::eval_comb() {

@@ -4,8 +4,9 @@
 // computing each node through BitVec. Simple and obviously correct — it is
 // the differential-testing oracle the compiled engine (compiled.hpp) is
 // checked against. The shared two-phase cycle protocol (eval / clock-edge
-// commit), watchdog, port resolution and fault-injection arming live in the
-// sim::Engine base (engine.hpp).
+// commit), watchdog, port resolution and fault arming live in the
+// sim::Engine base (engine.hpp); the fault transforms themselves are applied
+// here in BitVec math, independent of the compiled engine's int64 math.
 //
 // The simulator is the measurement instrument of the reproduction: the
 // evaluation procedure (src/core) drives a design's AXI-Stream interface
@@ -50,6 +51,8 @@ class Simulator : public Engine {
 
  private:
   void compute(netlist::NodeId id);
+  /// The armed stuck-at/transient fault applied to its target's value.
+  BitVec apply_comb_fault(const BitVec& value) const;
 
   std::shared_ptr<const std::vector<netlist::NodeId>> order_;
   std::vector<BitVec> values_;     ///< per-node value after eval

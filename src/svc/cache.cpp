@@ -3,9 +3,9 @@
 #include <utility>
 
 #include "netlist/dump.hpp"
+#include "netlist/exec_plan.hpp"
 #include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
-#include "sim/engine.hpp"
 
 namespace hlshc::svc {
 
@@ -74,7 +74,7 @@ CachedCompile DesignCache::get_or_compile(
   auto shared =
       std::make_shared<const netlist::Design>(std::move(compiled.design));
   const std::string dump = netlist::dump_text(*shared);
-  sim::make_engine(*shared, sim::EngineKind::kCompiled);  // builds the plan
+  netlist::ExecPlan::for_design(*shared);
 
   Entry entry;
   entry.design = shared;

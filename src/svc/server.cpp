@@ -96,24 +96,33 @@ Server::Server(const ServerOptions& options)
   // The compile method's stages/objective/retime knobs pipeline a pure
   // dataflow function; the harness-wrapped registry designs above contain
   // registers, so the unwrapped kernels get their own names.
-  register_design("idct.rtl_kernel", rtl::build_matrix_kernel);
-  register_design("idct.chisel_kernel", chisel::build_matrix_kernel);
+  register_design("idct.rtl_kernel", rtl::build_matrix_kernel, false);
+  register_design("idct.chisel_kernel", chisel::build_matrix_kernel, false);
 }
 
 Server::~Server() = default;
 
 void Server::register_design(const std::string& name,
-                             std::function<netlist::Design()> builder) {
+                             std::function<netlist::Design()> builder,
+                             bool evaluable) {
   HLSHC_CHECK(builder != nullptr, "null design builder for '" << name << '\'');
   std::lock_guard<std::mutex> lock(designs_mutex_);
-  designs_[name] = std::move(builder);
+  designs_[name] = {std::move(builder), evaluable};
 }
 
 std::vector<std::string> Server::design_names() const {
   std::lock_guard<std::mutex> lock(designs_mutex_);
   std::vector<std::string> names;
   names.reserve(designs_.size());
-  for (const auto& [name, builder] : designs_) names.push_back(name);
+  for (const auto& [name, entry] : designs_) names.push_back(name);
+  return names;
+}
+
+std::vector<std::string> Server::evaluable_design_names() const {
+  std::lock_guard<std::mutex> lock(designs_mutex_);
+  std::vector<std::string> names;
+  for (const auto& [name, entry] : designs_)
+    if (entry.evaluable) names.push_back(name);
   return names;
 }
 
@@ -252,11 +261,15 @@ Json Server::dispatch(const Request& req,
     Json names = Json::array();
     for (const std::string& name : design_names())
       names.push(Json::string(name));
+    Json evaluable = Json::array();
+    for (const std::string& name : evaluable_design_names())
+      evaluable.push(Json::string(name));
     Json workloads = Json::array();
     for (const std::string& name : workload::Registry::instance().names())
       workloads.push(Json::string(name));
     Json result = Json::object();
     result.set("designs", std::move(names));
+    result.set("evaluable", std::move(evaluable));
     result.set("workloads", std::move(workloads));
     return result;
   }
@@ -275,7 +288,8 @@ Json Server::dispatch(const Request& req,
                       "unknown method '" + req.method + '\'');
 }
 
-netlist::Design Server::build_design(const Json& params) const {
+netlist::Design Server::build_design(const Json& params,
+                                     bool evaluate) const {
   const std::string name = require_string(params, "design");
   std::function<netlist::Design()> builder;
   {
@@ -285,7 +299,12 @@ netlist::Design Server::build_design(const Json& params) const {
       throw ProtocolError(ErrorCode::kInvalidRequest,
                           "unknown design '" + name +
                               "' (see list_designs)");
-    builder = it->second;
+    if (evaluate && !it->second.evaluable)
+      throw ProtocolError(ErrorCode::kInvalidRequest,
+                          "design '" + name +
+                              "' has no AXI-Stream ports to drive (see "
+                              "list_designs.evaluable)");
+    builder = it->second.build;
   }
   return builder();
 }
@@ -430,7 +449,7 @@ Json Server::handle_compile(const Request& req,
 Json Server::handle_evaluate(const Request& req,
                              const std::shared_ptr<const Deadline>& deadline) {
   const workload::WorkloadSpec& spec = resolve_workload(req.params);
-  const netlist::Design design = build_design(req.params);
+  const netlist::Design design = build_design(req.params, true);
   if (deadline) deadline->check("evaluate of '" + design.name() + "' (built)");
   // The same decomposition as tools::evaluate_design — compile through the
   // canonical pipeline (memoized), then the Section III.C measurement — so
@@ -464,7 +483,7 @@ Json Server::handle_evaluate(const Request& req,
 Json Server::handle_campaign(const Request& req,
                              const std::shared_ptr<const Deadline>& deadline) {
   const workload::WorkloadSpec& spec = resolve_workload(req.params);
-  const netlist::Design design = build_design(req.params);
+  const netlist::Design design = build_design(req.params, true);
   if (deadline) deadline->check("campaign on '" + design.name() + "' (built)");
   const CachedCompile compiled =
       cache_.get_or_compile(design, compile_options(req.params, deadline));
@@ -510,6 +529,7 @@ Json Server::handle_campaign(const Request& req,
   Json counts = Json::object();
   counts.set("masked", Json::number(report.counts.masked));
   counts.set("sdc", Json::number(report.counts.sdc));
+  counts.set("protocol", Json::number(report.counts.protocol));
   counts.set("detected", Json::number(report.counts.detected));
   counts.set("hang", Json::number(report.counts.hang));
   Json result = Json::object();

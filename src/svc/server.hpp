@@ -102,9 +102,14 @@ class Server {
   /// workload registry — every fast builder as "<workload>.<builder>" plus
   /// the historical bare names for the paper's Verilog and Chisel families;
   /// tests register hostile builders (throwing, slow) through the same hook.
+  /// `evaluable` is false for designs without the canonical AXI-Stream
+  /// ports (raw kernels): evaluate and campaign reject them as
+  /// invalid_request before building anything.
   void register_design(const std::string& name,
-                       std::function<netlist::Design()> builder);
+                       std::function<netlist::Design()> builder,
+                       bool evaluable = true);
   std::vector<std::string> design_names() const;
+  std::vector<std::string> evaluable_design_names() const;
 
   /// Admits one request line. Never blocks: the returned future resolves to
   /// the response line — immediately for admission failures (malformed,
@@ -156,7 +161,10 @@ class Server {
 
   /// Builds the design named in params.design (kInvalidRequest when absent
   /// or unregistered). The builder runs on the worker, under the deadline.
-  netlist::Design build_design(const obs::Json& params) const;
+  /// Builds params.design; with `evaluate`, first rejects a design that is
+  /// not evaluable.
+  netlist::Design build_design(const obs::Json& params,
+                               bool evaluate = false) const;
   /// The workload spec a request measures against: an explicit
   /// params.workload wins (kInvalidRequest when unregistered); otherwise a
   /// "<workload>." design-name prefix is honoured when it names a registry
@@ -174,7 +182,11 @@ class Server {
   ServerOptions options_;
   DesignCache cache_;
   mutable std::mutex designs_mutex_;
-  std::map<std::string, std::function<netlist::Design()>> designs_;
+  struct DesignEntry {
+    std::function<netlist::Design()> build;
+    bool evaluable = true;
+  };
+  std::map<std::string, DesignEntry> designs_;
   mutable std::mutex recent_mutex_;
   std::deque<RequestRecord> recent_;  ///< newest at the back, bounded
   par::TaskQueue queue_;  ///< declared last: workers die before the rest

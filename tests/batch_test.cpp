@@ -1,21 +1,22 @@
-// Differential tests: the lane-batched engine against the scalar oracle.
+// Differential tests: the lane-batched engine against the interpreter.
 //
 // sim::BatchSimulator packs N independent runs into one instruction-stream
 // sweep; its contract is that every lane's trajectory is bitwise-identical
-// to the same run on a scalar sim::CompiledSimulator. Layers of evidence:
+// to the same run on the interpreter oracle, sim::Simulator. Layers of
+// evidence:
 //
 //   1. randomized netlists (the same testutil::random_design space the
 //      compiled-vs-interpreter suite fuzzes) driven with per-lane stimulus,
-//      every node of every lane compared against a scalar engine after
+//      every node of every lane compared against the interpreter after
 //      every eval, at several lane counts;
 //   2. per-lane fault injection (every LaneFault kind, including input and
-//      hoisted-const targets) against a scalar engine running the
-//      equivalent FaultInjector, plus disarm/heal parity;
+//      hoisted-const targets) against the interpreter armed with the same
+//      LaneFault, plus disarm/heal parity;
 //   3. lane retirement: surviving lanes keep their exact trajectories
 //      while columns compact away, and reset_all() revives the batch;
 //   4. fault campaigns classified at several {lanes, jobs} combinations,
-//      counts AND the per-run log bitwise identical to the scalar loop,
-//      for every registered workload;
+//      counts AND the per-run log bitwise identical to the interpreter
+//      oracle (tests/oracle.hpp), for every registered workload;
 //   5. core::evaluate_axis_design with lanes > 1 agrees with the scalar
 //      evaluation;
 //   6. concurrent ExecPlan::for_design first use (the TSan target) and the
@@ -33,9 +34,10 @@
 #include "fault/model.hpp"
 #include "netlist/exec_plan.hpp"
 #include "obs/metrics.hpp"
+#include "oracle.hpp"
 #include "rtl/designs.hpp"
 #include "sim/batch.hpp"
-#include "sim/compiled.hpp"
+#include "sim/simulator.hpp"
 #include "testutil.hpp"
 #include "workload/workload.hpp"
 
@@ -48,7 +50,7 @@ using netlist::Op;
 using testutil::random_design;
 
 void expect_lane_equals_scalar(const sim::BatchSimulator& batch, int lane,
-                               const sim::CompiledSimulator& scalar,
+                               const sim::Simulator& scalar,
                                const Design& d, uint64_t seed, int cycle) {
   for (size_t i = 0; i < d.node_count(); ++i) {
     NodeId id = static_cast<NodeId>(i);
@@ -71,10 +73,10 @@ TEST_P(RandomNetlistBatchDiff, EveryLaneMatchesScalarEveryCycle) {
   // 3 exercises the generic kernel, 4 and 8 the fixed-trip specializations.
   for (int lanes : {3, 4, 8}) {
     sim::BatchSimulator batch(d, lanes);
-    std::vector<std::unique_ptr<sim::CompiledSimulator>> scalars;
+    std::vector<std::unique_ptr<sim::Simulator>> scalars;
     std::vector<SplitMix64> rngs;
     for (int l = 0; l < lanes; ++l) {
-      scalars.push_back(std::make_unique<sim::CompiledSimulator>(d));
+      scalars.push_back(std::make_unique<sim::Simulator>(d));
       rngs.emplace_back(seed * 64 + static_cast<uint64_t>(l));
     }
 
@@ -108,73 +110,6 @@ TEST_P(RandomNetlistBatchDiff, EveryLaneMatchesScalarEveryCycle) {
 }
 
 // ---- 2. per-lane fault injection -------------------------------------------
-
-/// The scalar reference injector: one fault::FaultSite, same semantics as
-/// the campaign's internal SiteInjector (campaign.cpp).
-class ScalarSiteInjector : public sim::FaultInjector {
- public:
-  explicit ScalarSiteInjector(const fault::FaultSite& site) : site_(site) {}
-
-  std::vector<NodeId> combinational_targets() const override {
-    switch (site_.kind) {
-      case fault::FaultKind::kStuckAt0:
-      case fault::FaultKind::kStuckAt1:
-      case fault::FaultKind::kTransient:
-        return {site_.node};
-      default:
-        return {};
-    }
-  }
-
-  BitVec transform(NodeId, const BitVec& value, uint64_t cycle) override {
-    const int w = value.width();
-    const BitVec mask(w, static_cast<int64_t>(uint64_t{1} << site_.bit));
-    switch (site_.kind) {
-      case fault::FaultKind::kStuckAt0:
-        return BitVec::band(value, BitVec::bnot(mask, w), w);
-      case fault::FaultKind::kStuckAt1:
-        return BitVec::bor(value, mask, w);
-      case fault::FaultKind::kTransient:
-        return cycle == site_.cycle ? BitVec::bxor(value, mask, w) : value;
-      default:
-        return value;
-    }
-  }
-
-  void at_cycle(sim::Engine& sim) override {
-    if (fired_ || sim.cycle() != site_.cycle) return;
-    if (site_.kind == fault::FaultKind::kSeuReg) {
-      sim.flip_reg_bit(site_.node, site_.bit);
-      fired_ = true;
-    } else if (site_.kind == fault::FaultKind::kSeuMem) {
-      sim.flip_mem_bit(site_.mem, site_.addr, site_.bit);
-      fired_ = true;
-    }
-  }
-
- private:
-  fault::FaultSite site_;
-  bool fired_ = false;
-};
-
-sim::LaneFault to_lane_fault(const fault::FaultSite& s) {
-  sim::LaneFault f;
-  switch (s.kind) {
-    case fault::FaultKind::kSeuReg: f.kind = sim::LaneFault::Kind::kSeuReg; break;
-    case fault::FaultKind::kSeuMem: f.kind = sim::LaneFault::Kind::kSeuMem; break;
-    case fault::FaultKind::kStuckAt0: f.kind = sim::LaneFault::Kind::kStuck0; break;
-    case fault::FaultKind::kStuckAt1: f.kind = sim::LaneFault::Kind::kStuck1; break;
-    case fault::FaultKind::kTransient:
-      f.kind = sim::LaneFault::Kind::kTransient;
-      break;
-  }
-  f.node = s.node;
-  f.mem = s.mem;
-  f.addr = s.addr;
-  f.bit = s.bit;
-  f.cycle = s.cycle;
-  return f;
-}
 
 /// First node of the given op kind with width > `bit`, or kInvalidNode.
 NodeId find_node(const Design& d, Op op, int bit) {
@@ -225,17 +160,15 @@ TEST_P(RandomNetlistLaneFaults, EveryLaneFaultKindMatchesScalarInjector) {
 
   const int lanes = static_cast<int>(sites.size()) + 1;  // +1 fault-free
   sim::BatchSimulator batch(d, lanes);
-  std::vector<std::unique_ptr<sim::CompiledSimulator>> scalars;
-  std::vector<std::unique_ptr<ScalarSiteInjector>> injectors;
+  std::vector<std::unique_ptr<sim::Simulator>> scalars;
   for (int l = 0; l < lanes; ++l) {
-    scalars.push_back(std::make_unique<sim::CompiledSimulator>(d));
+    scalars.push_back(std::make_unique<sim::Simulator>(d));
     if (l < static_cast<int>(sites.size())) {
       if (sites[l].node == netlist::kInvalidNode &&
           sites[l].kind != fault::FaultKind::kSeuMem)
         continue;  // design has no node of that kind; lane stays clean
-      batch.arm_lane_fault(l, to_lane_fault(sites[l]));
-      injectors.push_back(std::make_unique<ScalarSiteInjector>(sites[l]));
-      scalars[l]->set_fault_injector(injectors.back().get());
+      batch.arm_lane_fault(l, fault::to_lane_fault(sites[l]));
+      scalars[l]->arm_fault(fault::to_lane_fault(sites[l]));
     }
   }
   batch.reset_all();
@@ -263,7 +196,7 @@ TEST_P(RandomNetlistLaneFaults, EveryLaneFaultKindMatchesScalarInjector) {
   // rewrote — back to the fault-free trajectory.
   for (int l = 0; l < lanes; ++l) {
     batch.disarm_lane_fault(l);
-    scalars[l]->set_fault_injector(nullptr);
+    scalars[l]->disarm_fault();
   }
   batch.eval_all();
   for (int l = 0; l < lanes; ++l) {
@@ -281,10 +214,10 @@ TEST(BatchRetirement, SurvivorsKeepExactTrajectoriesAcrossCompaction) {
   const int lanes = 8;
 
   sim::BatchSimulator batch(d, lanes);
-  std::vector<std::unique_ptr<sim::CompiledSimulator>> scalars;
+  std::vector<std::unique_ptr<sim::Simulator>> scalars;
   std::vector<SplitMix64> rngs;
   for (int l = 0; l < lanes; ++l) {
-    scalars.push_back(std::make_unique<sim::CompiledSimulator>(d));
+    scalars.push_back(std::make_unique<sim::Simulator>(d));
     rngs.emplace_back(seed + static_cast<uint64_t>(l) * 1337);
   }
 
@@ -349,42 +282,49 @@ fault::CampaignReport campaign_at(const Design& d,
   return fault::run_campaign(d, spec, sites, opts);
 }
 
-void expect_reports_equal(const fault::CampaignReport& a,
-                          const fault::CampaignReport& b,
-                          const std::string& what) {
-  EXPECT_EQ(a.counts.masked, b.counts.masked) << what;
-  EXPECT_EQ(a.counts.sdc, b.counts.sdc) << what;
-  EXPECT_EQ(a.counts.detected, b.counts.detected) << what;
-  EXPECT_EQ(a.counts.hang, b.counts.hang) << what;
-  ASSERT_EQ(a.runs.size(), b.runs.size()) << what;
-  for (size_t i = 0; i < a.runs.size(); ++i) {
-    EXPECT_EQ(a.runs[i].outcome, b.runs[i].outcome)
-        << what << " site " << i << " ("
-        << a.runs[i].site.to_string() << ')';
-    EXPECT_EQ(a.runs[i].site.to_string(), b.runs[i].site.to_string())
+void expect_matches_oracle(const testutil::OracleCampaign& oracle,
+                           const fault::CampaignReport& got,
+                           const std::vector<fault::FaultSite>& sites,
+                           const std::string& what) {
+  EXPECT_EQ(oracle.counts.masked, got.counts.masked) << what;
+  EXPECT_EQ(oracle.counts.sdc, got.counts.sdc) << what;
+  EXPECT_EQ(oracle.counts.protocol, got.counts.protocol) << what;
+  EXPECT_EQ(oracle.counts.detected, got.counts.detected) << what;
+  EXPECT_EQ(oracle.counts.hang, got.counts.hang) << what;
+  ASSERT_EQ(got.runs.size(), sites.size()) << what;
+  for (size_t i = 0; i < sites.size(); ++i) {
+    EXPECT_EQ(oracle.outcomes[i], got.runs[i].outcome)
+        << what << " site " << i << " (" << sites[i].to_string() << ')';
+    EXPECT_EQ(got.runs[i].site.to_string(), sites[i].to_string())
         << what << " site " << i;
   }
+}
+
+fault::CampaignOptions oracle_options() {
+  fault::CampaignOptions opts;
+  opts.matrices = 2;
+  opts.max_cycles = 20000;
+  return opts;
 }
 
 TEST(BatchCampaign, BitwiseIdenticalAcrossLanesAndJobs) {
   const Design d = rtl::build_verilog_opt2();
   const workload::WorkloadSpec& spec =
       workload::Registry::instance().get("idct");
-  // SEU and stuck-at sites: the latter exercise the injected (slow-path)
-  // batched stream, the former the fast stream + per-lane flip schedule.
+  // SEU and stuck-at sites: the latter exercise the segmented injected
+  // stream, the former the plain stream + per-lane flip schedule.
   std::vector<fault::FaultSite> sites = fault::sample_seu_sites(d, 24, 60, 9);
   for (const fault::FaultSite& s : fault::sample_stuck_sites(d, 12, 10))
     sites.push_back(s);
 
-  const fault::CampaignReport scalar = campaign_at(d, spec, sites, 1, 1);
-  ASSERT_EQ(scalar.runs.size(), sites.size());
-  for (int lanes : {4, 32}) {
-    for (int jobs : {1, 4}) {
-      const fault::CampaignReport batched =
-          campaign_at(d, spec, sites, lanes, jobs);
-      expect_reports_equal(scalar, batched,
-                           "lanes=" + std::to_string(lanes) +
-                               " jobs=" + std::to_string(jobs));
+  const testutil::OracleCampaign oracle =
+      testutil::oracle_campaign(d, spec, sites, oracle_options());
+  for (int lanes : {1, 4, 32}) {
+    for (int jobs : {1, 2, 4}) {
+      expect_matches_oracle(oracle, campaign_at(d, spec, sites, lanes, jobs),
+                            sites,
+                            "lanes=" + std::to_string(lanes) +
+                                " jobs=" + std::to_string(jobs));
     }
   }
 }
@@ -394,8 +334,9 @@ TEST(BatchCampaign, RefillingStreamMatchesScalarOnHangHeavySites) {
   // runs to its cycle budget frees up late, and the refill logic must slot
   // fresh sites into the other lanes without perturbing anyone's clock.
   // A tight cycle budget turns a good fraction of stuck-at sites into
-  // hangs; the streamed lanes=8 jobs=1 path must classify every site
-  // exactly as the scalar path does.
+  // hangs; the streamed paths must classify every site exactly as the
+  // interpreter oracle does, with one worker and with two sharing the
+  // site cursor.
   const Design d = rtl::build_verilog_opt2();
   const workload::WorkloadSpec& spec =
       workload::Registry::instance().get("idct");
@@ -408,16 +349,48 @@ TEST(BatchCampaign, RefillingStreamMatchesScalarOnHangHeavySites) {
   opts.max_cycles = 300;  // tight enough that stalled streams hit the budget
   opts.keep_runs = true;
   opts.progress_every = 0;
-  opts.lanes = 1;
-  opts.jobs = 1;
-  const fault::CampaignReport scalar = fault::run_campaign(d, spec, sites, opts);
-  ASSERT_GE(scalar.counts.hang, 1) << "budget too generous: no hang sites";
-  ASSERT_LT(scalar.counts.hang, static_cast<int>(sites.size()))
+  const testutil::OracleCampaign oracle =
+      testutil::oracle_campaign(d, spec, sites, opts);
+  ASSERT_GE(oracle.counts.hang, 1) << "budget too generous: no hang sites";
+  ASSERT_LT(oracle.counts.hang, static_cast<int>(sites.size()))
       << "budget too tight: every site hangs";
 
   opts.lanes = 8;
-  const fault::CampaignReport batched = fault::run_campaign(d, spec, sites, opts);
-  expect_reports_equal(scalar, batched, "hang-heavy lanes=8 jobs=1");
+  for (int jobs : {1, 2}) {
+    opts.jobs = jobs;
+    expect_matches_oracle(oracle, fault::run_campaign(d, spec, sites, opts),
+                          sites, "hang-heavy lanes=8 jobs=" +
+                                     std::to_string(jobs));
+  }
+}
+
+TEST(BatchCampaign, TlastMovingSiteIsSdcOnEveryPath) {
+  // A fault that moves TLAST closes frames after the wrong number of beats.
+  // That is the design's output going wrong, not a harness error: the run
+  // classifies as SDC with the protocol sub-count, identically on the
+  // interpreter oracle and at every {lanes, jobs}.
+  const Design d = rtl::build_verilog_opt2();
+  const workload::WorkloadSpec& spec =
+      workload::Registry::instance().get("idct");
+  fault::FaultSite tlast;
+  tlast.kind = fault::FaultKind::kStuckAt1;
+  tlast.node = d.find_output("m_tlast");
+  std::vector<fault::FaultSite> sites = {tlast};
+  for (const fault::FaultSite& s : fault::sample_seu_sites(d, 5, 60, 3))
+    sites.push_back(s);
+
+  const testutil::OracleCampaign oracle =
+      testutil::oracle_campaign(d, spec, sites, oracle_options());
+  EXPECT_EQ(oracle.outcomes[0], fault::Outcome::kSdc);
+  EXPECT_GE(oracle.counts.protocol, 1);
+  for (int lanes : {1, 32}) {
+    for (int jobs : {1, 2}) {
+      expect_matches_oracle(oracle, campaign_at(d, spec, sites, lanes, jobs),
+                            sites,
+                            "tlast lanes=" + std::to_string(lanes) +
+                                " jobs=" + std::to_string(jobs));
+    }
+  }
 }
 
 TEST(BatchCampaign, EveryRegisteredWorkloadClassifiesIdentically) {
@@ -432,9 +405,9 @@ TEST(BatchCampaign, EveryRegisteredWorkloadClassifiesIdentically) {
     const Design d = builder->build();
     const std::vector<fault::FaultSite> sites =
         fault::sample_seu_sites(d, 12, 40, 3);
-    const fault::CampaignReport scalar = campaign_at(d, spec, sites, 1, 1);
-    const fault::CampaignReport batched = campaign_at(d, spec, sites, 8, 1);
-    expect_reports_equal(scalar, batched, name + "/" + builder->name);
+    expect_matches_oracle(
+        testutil::oracle_campaign(d, spec, sites, oracle_options()),
+        campaign_at(d, spec, sites, 8, 1), sites, name + "/" + builder->name);
   }
 }
 

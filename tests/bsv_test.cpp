@@ -168,6 +168,10 @@ struct BsvCase {
   double periodicity;
 };
 
+// Print the label only, so test names are the same from run to run (the
+// default prints the raw bytes, pointers included).
+void PrintTo(const BsvCase& c, std::ostream* os) { *os << c.label; }
+
 class BsvFamily : public ::testing::TestWithParam<BsvCase> {};
 
 TEST_P(BsvFamily, BitExactAgainstSoftwareModel) {

@@ -137,6 +137,10 @@ struct ChiselCase {
   int latency;
 };
 
+// Print the label only, so test names are the same from run to run (the
+// default prints the raw bytes, pointers included).
+void PrintTo(const ChiselCase& c, std::ostream* os) { *os << c.label; }
+
 class ChiselFamily : public ::testing::TestWithParam<ChiselCase> {};
 
 TEST_P(ChiselFamily, BitExactAgainstSoftwareModel) {

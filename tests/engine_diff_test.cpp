@@ -1,6 +1,6 @@
 // Differential tests: the compiled engine against the interpreter oracle.
 //
-// The compiled engine (sim::CompiledSimulator over netlist::ExecPlan) must
+// The compiled engine (sim::CompiledSimulator, a one-lane BatchSimulator) must
 // be observationally indistinguishable from the interpreter
 // (sim::Simulator) — same node values every cycle, same cycle counts, same
 // stream timing, same watchdog behaviour and same fault-campaign
@@ -11,7 +11,8 @@
 //   2. every registered AXI-Stream IDCT design run through the stream
 //      testbench on both engines with seeded stimulus and randomized
 //      source/sink timing;
-//   3. fault campaigns (SEU + stuck-at) classified by both engines.
+//   3. fault campaigns (SEU + stuck-at): run_campaign against the
+//      interpreter oracle (tests/oracle.hpp).
 //
 // Plus unit tests for the ExecPlan compilation itself (levelization,
 // constant hoisting, per-design caching).
@@ -32,6 +33,7 @@
 #include "hls/tool.hpp"
 #include "netlist/exec_plan.hpp"
 #include "obs/metrics.hpp"
+#include "oracle.hpp"
 #include "rtl/designs.hpp"
 #include "sim/compiled.hpp"
 #include "sim/simulator.hpp"
@@ -127,28 +129,6 @@ TEST_P(RandomNetlistDiff, SeuPokesAgree) {
   }
 }
 
-/// Stuck-at on an arbitrary node (including inputs and hoisted constants).
-class StuckBit : public sim::FaultInjector {
- public:
-  StuckBit(NodeId node, int bit, bool one) : node_(node), bit_(bit), one_(one) {}
-
-  std::vector<NodeId> combinational_targets() const override {
-    return {node_};
-  }
-
-  BitVec transform(NodeId, const BitVec& v, uint64_t) override {
-    const int w = v.width();
-    const BitVec mask(w, static_cast<int64_t>(uint64_t{1} << bit_));
-    return one_ ? BitVec::bor(v, mask, w)
-                : BitVec::band(v, BitVec::bnot(mask, w), w);
-  }
-
- private:
-  NodeId node_;
-  int bit_;
-  bool one_;
-};
-
 TEST_P(RandomNetlistDiff, CombinationalInjectionAndDisarmAgree) {
   const uint64_t seed = GetParam();
   Design d = random_design(seed);
@@ -177,14 +157,18 @@ TEST_P(RandomNetlistDiff, CombinationalInjectionAndDisarmAgree) {
       target = static_cast<NodeId>(
           rng.next_in(0, static_cast<long>(d.node_count()) - 1));
     } while (d.node(target).op == Op::MemWrite);
-    StuckBit inj(target, static_cast<int>(rng.next_in(0, d.node(target).width - 1)),
-                 rng.next_in(0, 1) != 0);
-    oracle.set_fault_injector(&inj);
-    compiled.set_fault_injector(&inj);
+    // Stuck-at on an arbitrary node (inputs and hoisted constants too).
+    sim::LaneFault stuck;
+    stuck.kind = rng.next_in(0, 1) != 0 ? sim::LaneFault::Kind::kStuck1
+                                         : sim::LaneFault::Kind::kStuck0;
+    stuck.node = target;
+    stuck.bit = static_cast<int>(rng.next_in(0, d.node(target).width - 1));
+    oracle.arm_fault(stuck);
+    compiled.arm_fault(stuck);
     drive_and_compare(6, round * 2);
     // Disarm: both engines must heal identically (hoisted constants!).
-    oracle.set_fault_injector(nullptr);
-    compiled.set_fault_injector(nullptr);
+    oracle.disarm_fault();
+    compiled.disarm_fault();
     drive_and_compare(4, round * 2 + 1);
   }
 }
@@ -303,22 +287,22 @@ TEST(EngineDiff, FaultCampaignClassificationsIdentical) {
   std::vector<fault::FaultSite> stuck = fault::sample_stuck_sites(d, 6, 12);
   sites.insert(sites.end(), stuck.begin(), stuck.end());
 
+  const workload::WorkloadSpec& spec =
+      workload::Registry::instance().get("idct");
   fault::CampaignOptions opt;
   opt.matrices = 2;
-  opt.engine = sim::EngineKind::kInterpreter;
-  fault::CampaignReport oracle = fault::run_campaign(d, sites, opt);
-  opt.engine = sim::EngineKind::kCompiled;
-  fault::CampaignReport compiled = fault::run_campaign(d, sites, opt);
+  opt.progress_every = 0;
+  const testutil::OracleCampaign oracle =
+      testutil::oracle_campaign(d, spec, sites, opt);
+  fault::CampaignReport compiled = fault::run_campaign(d, spec, sites, opt);
 
-  EXPECT_EQ(oracle.reference_functional, compiled.reference_functional);
   EXPECT_EQ(oracle.counts.masked, compiled.counts.masked);
   EXPECT_EQ(oracle.counts.sdc, compiled.counts.sdc);
   EXPECT_EQ(oracle.counts.detected, compiled.counts.detected);
   EXPECT_EQ(oracle.counts.hang, compiled.counts.hang);
-  ASSERT_EQ(oracle.runs.size(), compiled.runs.size());
-  for (size_t i = 0; i < oracle.runs.size(); ++i)
-    EXPECT_EQ(oracle.runs[i].outcome, compiled.runs[i].outcome)
-        << "site " << i;
+  ASSERT_EQ(oracle.outcomes.size(), compiled.runs.size());
+  for (size_t i = 0; i < oracle.outcomes.size(); ++i)
+    EXPECT_EQ(oracle.outcomes[i], compiled.runs[i].outcome) << "site " << i;
 }
 
 // ---- activity-counter parity -----------------------------------------------

@@ -213,12 +213,10 @@ TEST(ErrorPaths, ValidateSiteRejectsBadFaultSites) {
 TEST(ErrorPaths, ArmingInvalidInjectorTargetThrows) {
   Design d = counter_with_mem();
   sim::Simulator sim(d);
-  class BadTargets : public sim::FaultInjector {
-    std::vector<NodeId> combinational_targets() const override {
-      return {static_cast<NodeId>(1 << 20)};
-    }
-  } bad;
-  EXPECT_THROW(sim.set_fault_injector(&bad), Error);
+  sim::LaneFault bad;
+  bad.kind = sim::LaneFault::Kind::kStuck1;
+  bad.node = static_cast<NodeId>(1 << 20);
+  EXPECT_THROW(sim.arm_fault(bad), Error);
   EXPECT_EQ(sim.cycle(), 0u);  // simulator still usable
   sim.run(3);
   EXPECT_EQ(sim.cycle(), 3u);

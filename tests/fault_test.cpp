@@ -146,37 +146,16 @@ TEST(Injection, FlipRegBitChangesStateUntilOverwritten) {
   EXPECT_EQ(sim.output_i64("q"), 0);
 }
 
-namespace {
-/// Test-only injector: forces one bit of one node high during eval.
-class ForceBitHigh : public sim::FaultInjector {
- public:
-  ForceBitHigh(NodeId node, int bit) : node_(node), bit_(bit) {}
-  std::vector<NodeId> combinational_targets() const override {
-    return {node_};
-  }
-  BitVec transform(NodeId, const BitVec& v, uint64_t) override {
-    return BitVec::bor(
-        v, BitVec(v.width(), static_cast<int64_t>(uint64_t{1} << bit_)),
-        v.width());
-  }
-
- private:
-  NodeId node_;
-  int bit_;
-};
-}  // namespace
-
 TEST(Injection, CombinationalTransformAppliesAndDisarms) {
   Design d("wire");
   NodeId a = d.input("a", 8);
   NodeId o = d.output("o", a);
   sim::Simulator sim(d);
-  ForceBitHigh force(o, 6);
-  sim.set_fault_injector(&force);
+  sim.arm_fault(to_lane_fault({FaultKind::kStuckAt1, o, -1, 0, 6}));
   sim.set_input("a", 1);
   sim.eval();
   EXPECT_EQ(sim.output_i64("o"), 65);
-  sim.set_fault_injector(nullptr);
+  sim.disarm_fault();
   sim.eval();
   EXPECT_EQ(sim.output_i64("o"), 1);
 }
@@ -214,8 +193,8 @@ TEST(Campaign, ProgressCallbackSeesRunningOutcomeMix) {
   opts.matrices = 1;
   opts.max_cycles = 500;
   opts.progress_every = 2;
-  // Per-site cadence is a scalar-loop contract: a lane-batched campaign
-  // fires once per sweep at cadence crossings instead.
+  // One lane completes sites in site order, so the snapshots below are
+  // exact for this site sequence.
   opts.lanes = 1;
   std::vector<CampaignProgress> seen;
   opts.on_progress = [&](const CampaignProgress& p) { seen.push_back(p); };

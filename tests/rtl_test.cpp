@@ -114,6 +114,10 @@ struct DesignCase {
   double periodicity;
 };
 
+// Print the label only, so test names are the same from run to run (the
+// default prints the raw bytes, pointers included).
+void PrintTo(const DesignCase& c, std::ostream* os) { *os << c.label; }
+
 class VerilogFamily : public ::testing::TestWithParam<DesignCase> {};
 
 TEST_P(VerilogFamily, BitExactAgainstSoftwareModel) {

@@ -308,6 +308,35 @@ TEST(Server, ListDesignsIsSortedStableAndSpansTheRegistry) {
   EXPECT_EQ(first.dump(), second.dump());
 }
 
+TEST(Server, EvaluatesEveryEvaluableDesignAndRejectsRawKernels) {
+  Server server(small_server());
+  const Json listed = call_ok(server, R"({"method":"list_designs"})");
+  const Json& evaluable = *listed.find("evaluable");
+  std::vector<std::string> names;
+  for (size_t i = 0; i < evaluable.size(); ++i)
+    names.push_back(evaluable[i].as_string());
+  EXPECT_EQ(names, server.evaluable_design_names());
+  // Every listed design evaluates: the list is exactly what the service
+  // can drive.
+  for (const std::string& name : names) {
+    const Json result = call_ok(
+        server, R"({"method":"evaluate","params":{"design":")" + name +
+                    R"(","matrices":1}})");
+    EXPECT_TRUE(result.find("functional")->as_bool()) << name;
+  }
+  // The raw kernels compile but have no AXI-Stream ports: evaluating them
+  // is the caller's mistake, never an internal error.
+  for (const char* kernel : {"idct.rtl_kernel", "idct.chisel_kernel"}) {
+    EXPECT_EQ(std::find(names.begin(), names.end(), kernel), names.end());
+    for (const char* method : {"evaluate", "campaign"})
+      EXPECT_EQ(error_code_of(server, std::string(R"({"method":")") + method +
+                                          R"(","params":{"design":")" +
+                                          kernel + R"("}})"),
+                "invalid_request")
+          << method << ' ' << kernel;
+  }
+}
+
 TEST(Server, UnknownWorkloadIsInvalidRequestOnEveryMethod) {
   Server server(small_server());
   for (const char* method : {"compile", "evaluate", "campaign"}) {

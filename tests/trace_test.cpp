@@ -12,12 +12,12 @@
 
 #include "fault/campaign.hpp"
 #include "fault/model.hpp"
+#include "netlist/exec_plan.hpp"
 #include "obs/event_log.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "rtl/designs.hpp"
-#include "sim/engine.hpp"
 #include "svc/server.hpp"
 #include "workload/workload.hpp"
 
@@ -83,16 +83,13 @@ void expect_connected_tree(const std::vector<SpanInfo>& spans,
 }
 
 /// Name multiset of the spans that are deterministic across worker counts.
-/// par.chunk spans exist only when a pool actually shards the loop, and the
-/// batch sweep spans depend on the execution strategy: jobs=1 streams every
-/// site through one refilling testbench.batch_stream sweep, while jobs>1
-/// shards lane groups, each a testbench.batch_run.
+/// par.chunk spans exist only when a pool actually runs the workers, and
+/// each worker streams its sites through one testbench.batch_stream sweep.
 std::map<std::string, int> deterministic_names(
     const std::vector<SpanInfo>& spans) {
   std::map<std::string, int> names;
   for (const SpanInfo& s : spans)
-    if (s.name != "par.chunk" && s.name != "testbench.batch_run" &&
-        s.name != "testbench.batch_stream")
+    if (s.name != "par.chunk" && s.name != "testbench.batch_stream")
       ++names[s.name];
   return names;
 }
@@ -108,8 +105,8 @@ fault::CampaignReport traced_campaign(const hlshc::netlist::Design& d,
   opts.max_cycles = 20000;
   opts.keep_runs = true;
   opts.jobs = jobs;
-  // Small lane groups so 24 sites shard into several pool chunks — the
-  // test pins pool adoption, not the default lane policy.
+  // Small lane counts so 24 sites keep several workers busy — the test
+  // pins pool adoption, not the default lane policy.
   opts.lanes = 4;
 
   obs::tracer().start();
@@ -148,7 +145,7 @@ TEST_F(TraceTest, CampaignSpanTreeAndResultsAgreeAcrossJobs) {
   const hlshc::netlist::Design d = hlshc::rtl::build_verilog_opt2();
   // Warm the design's exec-plan cache outside the traced windows, so the
   // one-off plan.compile span does not tilt the serial/parallel comparison.
-  hlshc::sim::make_engine(d, hlshc::sim::EngineKind::kCompiled);
+  hlshc::netlist::ExecPlan::for_design(d);
   const std::vector<fault::FaultSite> sites =
       fault::sample_seu_sites(d, 24, 60, 2026);
 
@@ -171,8 +168,7 @@ TEST_F(TraceTest, CampaignSpanTreeAndResultsAgreeAcrossJobs) {
 
   // Spans: every span of each run carries that run's trace id and links
   // into one tree. The deterministic span names match exactly; only the
-  // pool's chunk spans and the strategy-dependent batch sweep spans
-  // (streaming serially, per lane group under the pool) may differ.
+  // pool's chunk spans and the per-worker sweep spans may differ.
   expect_connected_tree(serial_spans, serial_trace);
   expect_connected_tree(parallel_spans, parallel_trace);
   EXPECT_NE(serial_trace, parallel_trace);
@@ -185,12 +181,10 @@ TEST_F(TraceTest, CampaignSpanTreeAndResultsAgreeAcrossJobs) {
     for (const SpanInfo& s : spans) n += s.name == name;
     return n;
   };
-  // The strategy-dependent sweep spans: one streaming sweep serially, one
-  // sweep per lane group under the pool.
+  // One streaming sweep per worker: jobs=8 clamps to ceil(24 sites / 4
+  // lanes) = 6 workers.
   EXPECT_EQ(count_named(serial_spans, "testbench.batch_stream"), 1);
-  EXPECT_EQ(count_named(serial_spans, "testbench.batch_run"), 0);
-  EXPECT_EQ(count_named(parallel_spans, "testbench.batch_stream"), 0);
-  EXPECT_GT(count_named(parallel_spans, "testbench.batch_run"), 0);
+  EXPECT_EQ(count_named(parallel_spans, "testbench.batch_stream"), 6);
   const auto count_chunks = [&](const std::vector<SpanInfo>& spans) {
     return count_named(spans, "par.chunk");
   };
