@@ -8,9 +8,7 @@
 // Emits dse.csv (the full scatter, workload column included) and
 // BENCH_dse.json (obs::RunReport) with the per-workload A/P/Q fronts:
 // minimum area, maximum throughput, and best quality with the winning
-// config for each. scripts/bench_gate.py checks the fresh report against
-// bench/baselines/BENCH_dse.json — config count must stay >= 200 and the
-// best quality per workload must not regress.
+// config for each. perfbench pins all 254 points (perfbench/expected/dse.tsv).
 //
 // Usage: bench_dse [--jobs N]   (default: all cores)
 #include <cstdio>

@@ -11,7 +11,7 @@
 // builders instead of the IDCT-only Table II; "all" additionally writes
 // BENCH_workloads.json. --wide disables the width-narrowing pass — the
 // pre-narrowing pipeline — so the emitted table2.csv can be diffed bitwise
-// against bench/baselines/table2_prenarrow.csv (the refactor oracle).
+// against one from a build that predates the pass (the refactor oracle).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>

@@ -1,30 +1,32 @@
 #!/usr/bin/env python3
-"""Perf-regression gate over the hlshc bench reports.
+"""Perf-regression gate: a same-runner A/B run of the repository benchmark.
 
-Compares freshly produced BENCH_sim.json / BENCH_fault.json /
-BENCH_service.json / BENCH_dse.json (obs::RunReport schema) against the
-committed reference reports in bench/baselines/, with a per-metric check
-mode:
-
-  * exact  -- values the toolchain computes deterministically (node counts,
-              exec-plan depth, campaign outcome mixes, areas). Any drift is
-              a functional change, not noise, and fails the gate.
-  * ratio  -- wall-clock rates (cycles/sec, faults/sec, req/sec). CI
-              machines are noisy and heterogeneous, so these only fail when
-              the fresh value drops below `tolerance` * baseline — a wide
-              net that still catches order-of-magnitude regressions.
-  * invariant -- cross-field consistency inside the fresh report alone
-              (ok + shed == submitted, a deep queue sheds nothing).
-
-The gate also insists the fresh run used the same parameters as the
-baseline (same site counts, cycle counts, request counts): comparing runs
-of different sizes would make every number meaningless.
-
-Usage:
-  bench_gate.py [--baselines DIR] [--fresh DIR] [--tolerance F]
-                [--min-ratio R]
+Usage (from the repository root):
+  bench_gate.py --base REF
   bench_gate.py --validate-trace FILE [FILE...]
   bench_gate.py --validate-events FILE [FILE...]
+
+--base extracts the committed trees of REF and of HEAD into
+.bench_gate/{base,head}, builds perfbench in each (perfbench/run.py, one
+build directory per tree), then runs PAIRS interleaved pairs of every
+BENCHMARK.json workload, untraced and traced, at SECONDS per run. Both
+sides of a pair get the same seed; the side that runs first alternates.
+Absolute times do not carry between hosts or even between runs, so the
+gate compares the two sides of one runner, and per layer it compares
+shares of the run, which do hold. It fails when
+  * a run exits nonzero (a pinned-output mismatch or a crash);
+  * a workload's pooled failed share is higher at HEAD;
+  * an end-to-end median is worse than its BENCHMARK.json bound;
+  * a layer's median share grows by more than the base's spread (max - min
+    over its runs), LAYER_MARGIN and LAYER_REL_MARGIN of its share, and
+    its own median time grows by more than LAYER_TIME_MARGIN.
+A layer is a row of the traced run's span ledger (spans-<workload>.jsonl:
+self time over the traced window, "residual" included) or a netlist pass
+(netlist.pass_ms.<pass> over the same run's netlist.compile_ms). Shares add
+up to 1, so when one layer gets faster every other layer's share grows; the
+time condition keeps such a speedup from failing a layer nobody touched.
+The gate prints one table per workload and writes it, with every run's
+parsed result and layer readings, to .bench_gate/report.{txt,json}.
 
 --validate-trace checks a Chrome trace_event file is well-formed (parses,
 has a traceEvents list, every event carries name/ph/ts/pid/tid).
@@ -35,7 +37,27 @@ object with ts_ns/level/name). Exit status 0 iff every check passed.
 import argparse
 import json
 import os
+import shutil
+import statistics
+import subprocess
 import sys
+import time
+
+# A pair of rounds (every workload, untraced and traced, on both sides)
+# takes ~3 min on a 4-vCPU host; four pairs plus two cold builds take ~16.
+PAIRS = 4
+SECONDS = 5
+# Share growth below LAYER_MARGIN, or below LAYER_REL_MARGIN of the share,
+# passes even when it beats the base's spread. A 1.5x slowdown of a layer
+# holding share s grows it by s/2 / (1 + s/2), at least s/3: +0.024 at
+# s = 0.05, +0.10 at s = 0.4.
+LAYER_MARGIN = 0.02
+LAYER_REL_MARGIN = 0.1
+# ... and only if its own time per op grew by more than this too. In gate
+# runs on a 4-vCPU host untouched layers mostly read 0.82-1.19x (campaign's
+# set-up pass times up to 1.46x); a 1.5x slowdown moved its layer 1.34-1.67x.
+LAYER_TIME_MARGIN = 0.25
+WORK_DIR = ".bench_gate"
 
 failures = []
 
@@ -45,311 +67,283 @@ def fail(msg):
     print(f"FAIL: {msg}")
 
 
-def ok(msg):
-    print(f"  ok: {msg}")
+# ---- reading perfbench outputs ---------------------------------------------
+
+def parse_result(stdout):
+    """The JSON object perfbench prints as its last stdout line, or None."""
+    try:
+        return json.loads(stdout.strip().splitlines()[-1])
+    except (IndexError, json.JSONDecodeError):
+        return None
 
 
-def load_report(path):
-    with open(path) as f:
-        report = json.load(f)
-    if report.get("schema") != "hlshc.run_report":
-        fail(f"{path}: not an hlshc.run_report (schema={report.get('schema')})")
-    return report
+def layer_readings(result, span_lines):
+    """Per-layer readings of one traced run, {layer: (share, ms per op)}:
+    each ledger layer's self time over the traced window and per attempted
+    op, plus each pass's mean time over netlist.compile_ms and as is."""
+    metrics = {k: v["value"] for k, v in result["metrics"].items()}
+    spans = [json.loads(line) for line in span_lines if line.strip()]
+    self_ns = [s["end_ns"] - s["start_ns"] for s in spans]
+    for s in spans:
+        if s["parent"] >= 0:
+            self_ns[s["parent"]] -= s["end_ns"] - s["start_ns"]
+    covered = sum(s["end_ns"] - s["start_ns"] for s in spans
+                  if s["parent"] < 0)
+    residual = metrics.get("trace.residual_frac", 0.0)
+    readings = {}
+    if covered > 0 and residual < 1:
+        wall = covered / (1 - residual)
+        by_layer = {"residual": residual * wall}
+        for s, ns in zip(spans, self_ns):
+            by_layer[s["layer"]] = by_layer.get(s["layer"], 0.0) + ns
+        ops = max(result["attempted"], 1)
+        readings = {layer: (ns / wall, ns / ops / 1e6)
+                    for layer, ns in by_layer.items()}
+    compile_ms = metrics.get("netlist.compile_ms", 0.0)
+    for name, value in metrics.items():
+        if name.startswith("netlist.pass_ms.") and compile_ms > 0:
+            readings[name] = (value / compile_ms, value)
+    return readings
 
 
-def check_params(name, fresh, base, keys):
-    for key in keys:
-        if fresh["params"].get(key) != base["params"].get(key):
-            fail(
-                f"{name}: param '{key}' differs from baseline "
-                f"({fresh['params'].get(key)} vs {base['params'].get(key)}) "
-                "-- regenerate bench/baselines or fix the CI invocation"
-            )
+# ---- the comparison ----------------------------------------------------------
 
+def compare(bench, runs):
+    """Checks one gate's runs; returns (failure messages, report lines).
 
-def index_rows(report, list_key, id_key):
-    return {row[id_key]: row for row in report["results"][list_key]}
+    `runs` holds one dict per perfbench run: side ("base"/"head"),
+    workload, traced, seed, code (exit status), result (the parsed last
+    line or None) and, for traced runs, layers (layer_readings)."""
+    errors, lines = [], []
+    for r in runs:
+        if r["code"] != 0 or r["result"] is None:
+            errors.append(f"{r['side']} {r['workload']} seed={r['seed']} "
+                          f"trace={int(r['traced'])} exited {r['code']}"
+                          + ("" if r["result"] else " without a result"))
+    good = [r for r in runs if r["code"] == 0 and r["result"] is not None]
 
+    for workload in [w["name"] for w in bench["workloads"]]:
+        def of(side, traced=None):
+            return [r for r in good if r["workload"] == workload and
+                    r["side"] == side and traced in (None, r["traced"])]
 
-def compare_rows(name, fresh, base, list_key, id_key, exact, ratio, tolerance):
-    fresh_rows = index_rows(fresh, list_key, id_key)
-    base_rows = index_rows(base, list_key, id_key)
-    if set(fresh_rows) != set(base_rows):
-        fail(
-            f"{name}: {list_key} sets differ "
-            f"(fresh-only: {sorted(set(fresh_rows) - set(base_rows))}, "
-            f"baseline-only: {sorted(set(base_rows) - set(fresh_rows))})"
-        )
-        return
-    for row_id in sorted(base_rows, key=str):
-        f_row, b_row = fresh_rows[row_id], base_rows[row_id]
-        for key in exact:
-            if f_row.get(key) != b_row.get(key):
-                fail(
-                    f"{name} [{row_id}].{key}: {f_row.get(key)} != baseline "
-                    f"{b_row.get(key)} (deterministic metric -- this is a "
-                    "functional change, not noise)"
-                )
-        for key in ratio:
-            b_val = b_row.get(key, 0)
-            f_val = f_row.get(key, 0)
-            if b_val <= 0:
+        failed = {}
+        for side in ("base", "head"):
+            attempted = sum(r["result"]["attempted"] for r in of(side))
+            failed[side] = sum(r["result"]["failed"] for r in of(side)) / \
+                max(attempted, 1)
+        lines.append(f"== {workload}: {len(of('base', False))} untraced + "
+                     f"{len(of('base', True))} traced runs per side; failed "
+                     f"share base {failed['base']:.4f} head "
+                     f"{failed['head']:.4f}")
+        if failed["head"] > failed["base"] + 1e-12:
+            errors.append(f"{workload}: failed share rose from "
+                          f"{failed['base']:.4f} to {failed['head']:.4f}")
+
+        lines.append(f"  {'end to end':<34}{'base':>12}{'head':>12}"
+                     f"{'worse':>9}{'bound':>8}")
+        for m in bench["end_to_end"]:
+            base, head = (statistics.median(
+                [r["result"]["metrics"][m["name"]]["value"]
+                 for r in of(side, False)] or [0.0])
+                for side in ("base", "head"))
+            worse = (head - base) / base if base else 0.0
+            if m["better"] == "higher":
+                worse = -worse
+            bad = worse > m["bound"]
+            lines.append(f"  {m['name']:<34}{base:>12.4g}{head:>12.4g}"
+                         f"{worse:>+9.1%}{m['bound']:>8.0%}"
+                         f"  {'FAIL' if bad else 'ok'}")
+            if bad:
+                errors.append(f"{workload}: end-to-end {m['name']} median "
+                              f"{head:.4g} is {worse:.1%} worse than base "
+                              f"{base:.4g} (bound {m['bound']:.0%})")
+
+        readings = {side: [r["layers"] for r in of(side, True)]
+                    for side in ("base", "head")}
+        lines.append(f"  {'layer share':<34}{'base':>12}{'spread':>9}"
+                     f"{'head':>12}{'growth':>9}{'allowed':>9}{'time':>8}")
+        for layer in sorted(set().union(*readings["base"],
+                                        *readings["head"])):
+            base_r, head_r = ([r.get(layer, (0.0, 0.0)) for r in readings[side]]
+                              for side in ("base", "head"))
+            if not base_r or not head_r:
                 continue
-            if f_val < tolerance * b_val:
-                fail(
-                    f"{name} [{row_id}].{key}: {f_val:.1f} < "
-                    f"{tolerance:.2f} x baseline {b_val:.1f}"
-                )
-    ok(
-        f"{name}: {len(base_rows)} {list_key} rows, "
-        f"{len(exact)} exact + {len(ratio)} ratio metrics each"
-    )
+            base_shares = [share for share, _ in base_r]
+            base = statistics.median(base_shares)
+            growth = statistics.median(share for share, _ in head_r) - base
+            spread = max(base_shares) - min(base_shares)
+            allowed = max(spread, LAYER_MARGIN, LAYER_REL_MARGIN * base)
+            # A layer new at HEAD has no time to grow from; the end-to-end
+            # bounds cover what it costs.
+            base_ms = statistics.median(ms for _, ms in base_r)
+            grew = (statistics.median(ms for _, ms in head_r) / base_ms
+                    if base_ms else 1.0)
+            bad = growth > allowed and grew > 1 + LAYER_TIME_MARGIN
+            lines.append(f"  {layer:<34}{base:>12.4f}{spread:>9.4f}"
+                         f"{base + growth:>12.4f}{growth:>+9.4f}"
+                         f"{allowed:>9.4f}{grew:>7.2f}x"
+                         f"  {'FAIL' if bad else 'ok'}")
+            if bad:
+                errors.append(f"{workload}: layer {layer} share grew from "
+                              f"{base:.4f} to {base + growth:.4f}, more than "
+                              f"{allowed:.4f}, and its time per op by "
+                              f"{grew:.2f}x")
+    return errors, lines
 
 
-def check_batch_ratio(name, report, which, min_ratio, numer, denom):
-    """Lane-batching floor: the batched series must beat the scalar series
-    by `min_ratio` on at least one design row. Per-row enforcement would be
-    wrong — a straggler-dominated campaign (one hang site serializing
-    20000 cycles) is Amdahl-capped regardless of lane count — but if *no*
-    row clears the floor, batching regressed to scalar speed."""
-    best = None
-    best_design = None
-    for row in report["results"]["designs"]:
-        scalar, batched = row.get(denom, 0), row.get(numer, 0)
-        if scalar <= 0 or batched <= 0:
-            continue
-        speedup = batched / scalar
-        if best is None or speedup > best:
-            best, best_design = speedup, row["design"]
-    if best is None:
-        fail(f"{name} ({which}): no row carries both {numer} and {denom} "
-             "-- the batched series is missing from the report")
-        return
-    if best < min_ratio:
-        fail(f"{name} ({which}): best batched/scalar speedup {best:.2f}x "
-             f"({best_design}) < required {min_ratio:.2f}x -- "
-             "lane batching regressed")
-        return
-    ok(f"{name} ({which}): best batched/scalar speedup {best:.2f}x "
-       f"({best_design}) >= {min_ratio:.2f}x")
+# ---- running both sides ----------------------------------------------------
+
+def perfbench(tree, *args):
+    # perfbench/run.py builds into $CARGO_TARGET_DIR when set, which would
+    # put both sides in one build directory.
+    env = {k: v for k, v in os.environ.items() if k != "CARGO_TARGET_DIR"}
+    return subprocess.run([sys.executable, "perfbench/run.py", *args],
+                          cwd=tree, env=env, capture_output=True, text=True)
 
 
-def gate_sim(fresh_path, base_path, tolerance, min_ratio):
-    fresh, base = load_report(fresh_path), load_report(base_path)
-    check_params("BENCH_sim", fresh, base,
-                 ["raw_cycles", "stream_matrices", "workload", "lanes"])
-    compare_rows(
-        "BENCH_sim", fresh, base, "designs", "design",
-        exact=["nodes", "depth"],
-        ratio=["compiled_cycles_per_sec", "interp_cycles_per_sec",
-               "stream_compiled_cycles_per_sec",
-               "batch_lane_cycles_per_sec"],
-        tolerance=tolerance,
-    )
-    if min_ratio > 0:
-        for which, report in (("baseline", base), ("fresh", fresh)):
-            check_batch_ratio("BENCH_sim", report, which, min_ratio,
-                              numer="batch_lane_cycles_per_sec",
-                              denom="stream_compiled_cycles_per_sec")
+def prepare(tree, commit):
+    """Extracts `commit` into `tree` (kept when already there) and builds
+    perfbench in it, running its self-test; exits when either fails."""
+    stamp = os.path.join(tree, ".gate-commit")
+    if not os.path.exists(stamp) or open(stamp).read() != commit:
+        shutil.rmtree(tree, ignore_errors=True)
+        os.makedirs(tree)
+        archive = subprocess.run(["git", "archive", commit], check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
+        with open(stamp, "w") as f:
+            f.write(commit)
+    build = perfbench(tree, "--selftest")
+    if build.returncode != 0:
+        sys.exit(f"bench gate: perfbench build or self-test failed in "
+                 f"{tree}:\n{(build.stdout + build.stderr)[-4000:]}")
 
 
-def gate_fault(fresh_path, base_path, tolerance, min_ratio):
-    fresh, base = load_report(fresh_path), load_report(base_path)
-    check_params("BENCH_fault", fresh, base,
-                 ["sites_per_design", "sample_seed", "max_inject_cycle",
-                  "workload", "lanes"])
-    compare_rows(
-        "BENCH_fault", fresh, base, "designs", "design",
-        # The campaign is seeded and single-jobs-deterministic: the outcome
-        # mix, the A/P/Q axes, and the TMR contract are exact.
-        exact=["runs", "masked", "sdc", "detected", "hang",
-               "vulnerability_factor", "area", "periodicity_cycles"],
-        ratio=["faults_per_sec", "faults_per_sec_scalar",
-               "faults_per_sec_batched"],
-        tolerance=tolerance,
-    )
-    if min_ratio > 0:
-        for which, report in (("baseline", base), ("fresh", fresh)):
-            check_batch_ratio("BENCH_fault", report, which, min_ratio,
-                              numer="faults_per_sec_batched",
-                              denom="faults_per_sec_scalar")
+def run_once(tree, side, workload, seed, traced):
+    spans = os.path.join(tree, ".bench_build", "perfbench", "reports",
+                         f"spans-{workload}.jsonl")
+    if os.path.exists(spans):
+        os.remove(spans)
+    proc = perfbench(tree, "--workload", workload, "--seed", str(seed),
+                     "--seconds", str(SECONDS), "--trace", str(int(traced)))
+    run = {"side": side, "workload": workload, "seed": seed,
+           "traced": traced, "code": proc.returncode,
+           "result": parse_result(proc.stdout)}
+    if proc.returncode != 0:
+        print(proc.stdout[-2000:] + proc.stderr[-2000:])
+    if traced and run["result"] is not None:
+        if os.path.exists(spans):
+            with open(spans) as f:
+                run["layers"] = layer_readings(run["result"], f)
+        else:
+            run["result"] = None  # reported as a run without a result
+    return run
 
 
-def gate_service(fresh_path, base_path, tolerance):
-    fresh, base = load_report(fresh_path), load_report(base_path)
-    check_params("BENCH_service", fresh, base, ["requests", "clients"])
-    rounds = index_rows(fresh, "rounds", "queue_capacity")
-    base_rounds = index_rows(base, "rounds", "queue_capacity")
-    if set(rounds) != set(base_rounds):
-        fail(f"BENCH_service: round sets differ "
-             f"({sorted(rounds)} vs {sorted(base_rounds)})")
-        return
-    for capacity, row in sorted(rounds.items()):
-        # ok/shed splits race on queue occupancy, so the per-round splits
-        # are invariants over the fresh run, not baseline comparisons.
-        if row["ok"] + row["shed"] != row["submitted"]:
-            fail(f"BENCH_service [queue={capacity}]: ok {row['ok']} + shed "
-                 f"{row['shed']} != submitted {row['submitted']}")
-        if row["ok"] < 1:
-            fail(f"BENCH_service [queue={capacity}]: no request succeeded")
-    deepest = rounds[max(rounds)]
-    if deepest["shed"] != 0:
-        fail(f"BENCH_service [queue={max(rounds)}]: deep queue shed "
-             f"{deepest['shed']} requests -- admission control regressed")
-    if deepest["cache_hit_rate"] < 0.5:
-        fail(f"BENCH_service [queue={max(rounds)}]: cache hit rate "
-             f"{deepest['cache_hit_rate']:.2f} < 0.5 on a round-robin "
-             "storm -- the compile cache regressed")
-    for capacity, row in sorted(rounds.items()):
-        b_val = base_rounds[capacity]["req_per_sec"]
-        if b_val > 0 and row["req_per_sec"] < tolerance * b_val:
-            fail(f"BENCH_service [queue={capacity}].req_per_sec: "
-                 f"{row['req_per_sec']:.1f} < {tolerance:.2f} x baseline "
-                 f"{b_val:.1f}")
-    ok(f"BENCH_service: {len(rounds)} rounds, invariants + throughput floor")
+def gate(base_ref):
+    with open("BENCHMARK.json") as f:
+        bench = json.load(f)
+    commits = {side: subprocess.run(
+        ["git", "rev-parse", "--verify", ref + "^{commit}"], check=True,
+        capture_output=True, text=True).stdout.strip()
+        for side, ref in (("base", base_ref), ("head", "HEAD"))}
+    print(f"bench gate: base {commits['base'][:12]} ({base_ref}) vs head "
+          f"{commits['head'][:12]}, {PAIRS} pairs at {SECONDS} s", flush=True)
+    t0 = time.monotonic()
+    trees = {side: os.path.abspath(os.path.join(WORK_DIR, side))
+             for side in commits}
+    for side in commits:
+        prepare(trees[side], commits[side])
+    print(f"built both sides ({time.monotonic() - t0:.0f} s)", flush=True)
+
+    runs = []
+    combos = [(w["name"], traced) for w in bench["workloads"]
+              for traced in (False, True)]
+    for pair in range(PAIRS):
+        for i, (workload, traced) in enumerate(combos):
+            for side in ("base", "head")[::1 if (pair + i) % 2 else -1]:
+                runs.append(run_once(trees[side], side, workload, pair + 1,
+                                     traced))
+        print(f"pair {pair + 1}/{PAIRS} done ({time.monotonic() - t0:.0f} s)",
+              flush=True)
+
+    errors, lines = compare(bench, runs)
+    lines += [f"FAIL: {msg}" for msg in errors]
+    lines.append(f"\nbench gate: base {commits['base'][:12]} vs head "
+                 f"{commits['head'][:12]}: {len(errors)} failure(s), wall "
+                 f"{time.monotonic() - t0:.0f} s")
+    print("\n".join(lines))
+    with open(os.path.join(WORK_DIR, "report.txt"), "w") as f:
+        f.write("\n".join(lines) + "\n")
+    with open(os.path.join(WORK_DIR, "report.json"), "w") as f:
+        json.dump(runs, f)
+    return 1 if errors else 0
 
 
-def gate_dse(fresh_path, base_path):
-    """Design-space floor: the sweep must stay 200+ configurations wide and
-    the per-workload quality frontier must never retreat. All DSE metrics
-    are deterministic (modeled fmax/area over seeded evaluation), so a
-    best-Q drop is a real regression in a flow or the scheduler, not
-    noise; growth (new sweep points that beat the old frontier) is fine."""
-    fresh, base = load_report(fresh_path), load_report(base_path)
-    configs = fresh["results"].get("configs", 0)
-    if configs < 200:
-        fail(f"BENCH_dse: {configs} configurations < 200 -- the sweep "
-             "grid collapsed (a flow stopped contributing points)")
-    fresh_rows = index_rows(fresh, "workloads", "workload")
-    base_rows = index_rows(base, "workloads", "workload")
-    if set(fresh_rows) != set(base_rows):
-        fail(
-            f"BENCH_dse: workload sets differ "
-            f"(fresh-only: {sorted(set(fresh_rows) - set(base_rows))}, "
-            f"baseline-only: {sorted(set(base_rows) - set(fresh_rows))})"
-        )
-        return
-    for workload in sorted(base_rows):
-        f_row, b_row = fresh_rows[workload], base_rows[workload]
-        if f_row["configs"] < b_row["configs"]:
-            fail(f"BENCH_dse [{workload}]: {f_row['configs']} configs < "
-                 f"baseline {b_row['configs']} -- sweep points disappeared")
-        if f_row["best_quality"] < b_row["best_quality"] - 1e-6:
-            fail(f"BENCH_dse [{workload}]: best quality "
-                 f"{f_row['best_quality']:.1f} "
-                 f"({f_row.get('best_quality_config')}) < baseline "
-                 f"{b_row['best_quality']:.1f} "
-                 f"({b_row.get('best_quality_config')}) -- "
-                 "the quality frontier retreated")
-    ok(f"BENCH_dse: {configs} configurations, "
-       f"{len(base_rows)} per-workload quality floors")
-
+# ---- trace and event-log validation ----------------------------------------
 
 def validate_trace(path):
     with open(path) as f:
-        trace = json.load(f)
-    events = trace.get("traceEvents")
+        events = json.load(f).get("traceEvents")
     if not isinstance(events, list) or not events:
-        fail(f"{path}: no traceEvents")
-        return
+        return fail(f"{path}: no traceEvents")
     for i, event in enumerate(events):
-        for key in ("name", "ph", "ts", "pid", "tid"):
-            if key not in event:
-                fail(f"{path}: traceEvents[{i}] missing '{key}': {event}")
-                return
+        missing = [k for k in ("name", "ph", "ts", "pid", "tid")
+                   if k not in event]
+        if missing:
+            return fail(f"{path}: traceEvents[{i}] missing {missing}: {event}")
     # Correlated spans carry trace_id in args; a traced service/bench run
     # must produce at least one.
-    correlated = sum(1 for e in events
-                    if isinstance(e.get("args"), dict) and "trace_id" in e["args"])
-    if correlated == 0:
-        fail(f"{path}: no span carries args.trace_id -- "
-             "trace-context propagation is broken")
-        return
-    ok(f"{path}: {len(events)} trace events, {correlated} with trace_id")
+    correlated = sum(isinstance(e.get("args"), dict) and "trace_id" in e["args"]
+                     for e in events)
+    if not correlated:
+        return fail(f"{path}: no span carries args.trace_id -- "
+                    "trace-context propagation is broken")
+    print(f"  ok: {path}: {len(events)} trace events, {correlated} with "
+          "trace_id")
 
 
 def validate_events(path):
-    count = 0
-    traced = 0
     with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError as e:
-                fail(f"{path}:{lineno}: not JSON ({e})")
-                return
-            for key in ("ts_ns", "level", "name"):
-                if key not in event:
-                    fail(f"{path}:{lineno}: missing '{key}': {event}")
-                    return
-            count += 1
-            if "trace_id" in event:
-                traced += 1
-    if count == 0:
-        fail(f"{path}: empty event log")
-        return
-    if traced == 0:
-        fail(f"{path}: no event carries a trace_id")
-        return
-    ok(f"{path}: {count} events, {traced} with trace_id")
+        lines = [(n, line) for n, line in enumerate(f, 1) if line.strip()]
+    traced = 0
+    for lineno, line in lines:
+        try:
+            event = json.loads(line)
+        except json.JSONDecodeError as e:
+            return fail(f"{path}:{lineno}: not JSON ({e})")
+        missing = [k for k in ("ts_ns", "level", "name") if k not in event]
+        if missing:
+            return fail(f"{path}:{lineno}: missing {missing}: {event}")
+        traced += "trace_id" in event
+    if not lines:
+        return fail(f"{path}: empty event log")
+    if not traced:
+        return fail(f"{path}: no event carries a trace_id")
+    print(f"  ok: {path}: {len(lines)} events, {traced} with trace_id")
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--baselines", default="bench/baselines")
-    parser.add_argument("--fresh", default=".",
-                        help="directory holding the fresh BENCH_*.json")
-    parser.add_argument("--tolerance", type=float, default=0.25,
-                        help="rate metrics fail below tolerance*baseline")
-    parser.add_argument("--min-ratio", type=float, default=0.0,
-                        help="require the best batched/scalar speedup row to "
-                             "reach this factor (0 disables the check)")
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    parser.add_argument("--base", metavar="REF",
+                        help="commit to compare HEAD against")
     parser.add_argument("--validate-trace", nargs="+", default=[],
                         metavar="FILE")
     parser.add_argument("--validate-events", nargs="+", default=[],
                         metavar="FILE")
     args = parser.parse_args()
-
+    if args.base:
+        return gate(args.base)
+    if not (args.validate_trace or args.validate_events):
+        parser.error("give --base REF or files to validate")
     for path in args.validate_trace:
         validate_trace(path)
     for path in args.validate_events:
         validate_events(path)
-    if args.validate_trace or args.validate_events:
-        if failures:
-            print(f"\nbench gate: {len(failures)} validation failure(s)")
-            return 1
-        print("\nbench gate: validation passed")
-        return 0
-
-    gates = [
-        ("BENCH_sim.json",
-         lambda f, b: gate_sim(f, b, args.tolerance, args.min_ratio)),
-        ("BENCH_fault.json",
-         lambda f, b: gate_fault(f, b, args.tolerance, args.min_ratio)),
-        ("BENCH_service.json",
-         lambda f, b: gate_service(f, b, args.tolerance)),
-        ("BENCH_dse.json",
-         lambda f, b: gate_dse(f, b)),
-    ]
-    for filename, gate in gates:
-        fresh_path = os.path.join(args.fresh, filename)
-        base_path = os.path.join(args.baselines, filename)
-        if not os.path.exists(base_path):
-            fail(f"missing baseline {base_path}")
-            continue
-        if not os.path.exists(fresh_path):
-            fail(f"missing fresh report {fresh_path} -- did the bench run?")
-            continue
-        gate(fresh_path, base_path)
-
-    if failures:
-        print(f"\nbench gate: {len(failures)} failure(s)")
-        return 1
-    print("\nbench gate: all reports within tolerance")
-    return 0
+    print(f"\nbench gate: {len(failures)} validation failure(s)")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 
 namespace hlshc::obs {
 
@@ -18,6 +19,14 @@ int64_t now_ns() {
       .count();
 }
 
+uint64_t Histogram::bucket_upper(size_t b) {
+  if (b < kSubBuckets) return b;
+  const int width = static_cast<int>(b / kSubBuckets) + kSubBucketBits;
+  const int shift = width - kSubBucketBits - 1;
+  const uint64_t sub = b % kSubBuckets;
+  return ((kSubBuckets + sub + 1) << shift) - 1;
+}
+
 int64_t Histogram::percentile(double p) const {
   const int64_t n = count();
   if (n <= 0) return 0;
@@ -25,16 +34,16 @@ int64_t Histogram::percentile(double p) const {
   // feeding it into the int cast below (which would be UB).
   if (!(p >= 0.0)) p = 0.0;
   if (p > 1.0) p = 1.0;
-  // Rank of the requested sample, 1-based; walk buckets to find it and
-  // report that bucket's inclusive upper bound (2^bucket - 1).
-  const int64_t rank = std::max<int64_t>(
-      1, static_cast<int64_t>(p * static_cast<double>(n) + 0.5));
+  // Nearest rank of the requested sample, 1-based; walk buckets to find
+  // it and report that bucket's inclusive upper bound.
+  const int64_t rank = std::clamp<int64_t>(
+      static_cast<int64_t>(std::ceil(p * static_cast<double>(n))), 1, n);
   int64_t seen = 0;
   for (size_t b = 0; b < buckets_.size(); ++b) {
     seen += buckets_[b].load(std::memory_order_relaxed);
     if (seen >= rank)
-      return b >= 63 ? max()
-                     : static_cast<int64_t>((uint64_t{1} << b) - 1);
+      return static_cast<int64_t>(
+          std::min<uint64_t>(bucket_upper(b), static_cast<uint64_t>(max())));
   }
   return max();
 }

@@ -81,22 +81,22 @@ class Timer {
   std::atomic<int64_t> count_{0};
 };
 
-/// Latency distribution: a lock-free log2-bucketed histogram. A Timer gives
-/// totals and counts; the service layer also needs tail percentiles (p50 /
-/// p99 request latency for RunReports and the overload bench), which a
-/// total can't recover. record(v) increments the bucket indexed by
-/// bit_width(v) — 64 buckets cover the full int64 range at 2x resolution,
-/// plenty for "is p99 5ms or 500ms" questions. percentile() reports the
-/// upper bound of the bucket containing the requested rank, so estimates
-/// are conservative (never under-report a tail). All updates are relaxed
-/// atomics; snapshots taken after workers quiesce are exact.
+/// Latency distribution: a lock-free log-linear histogram (the HdrHistogram
+/// scheme). A Timer gives totals and counts; the service layer also needs
+/// tail percentiles (p50 / p99 request latency for RunReports and the
+/// overload bench), which a total can't recover. Values below 16 get one
+/// bucket each; every power of two above that is split into kSubBuckets
+/// equal sub-buckets, so a bucket's width is at most 1/16 of its lower
+/// bound and a reported percentile is at most 6.25% above the true sample.
+/// percentile() reports the upper bound of the bucket containing the
+/// requested rank, capped at max(), so estimates are conservative (never
+/// under-report a tail). All updates are relaxed atomics; snapshots taken
+/// after workers quiesce are exact.
 class Histogram {
  public:
   void record(int64_t v) {
     if (v < 0) v = 0;
-    const int bucket =
-        64 - std::countl_zero(static_cast<uint64_t>(v));  // bit_width
-    buckets_[static_cast<size_t>(bucket)].fetch_add(
+    buckets_[bucket_of(static_cast<uint64_t>(v))].fetch_add(
         1, std::memory_order_relaxed);
     count_.fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(v, std::memory_order_relaxed);
@@ -112,17 +112,33 @@ class Histogram {
   int64_t sum() const { return sum_.load(std::memory_order_relaxed); }
   int64_t max() const { return max_.load(std::memory_order_relaxed); }
 
-  /// Upper bound of the bucket holding the `p`-quantile sample. Edge cases
+  /// Upper bound of the bucket holding the nearest-rank `p`-quantile
+  /// sample (rank ceil(p * count), at least 1), capped at max(). Edge cases
   /// are defined, not UB: an empty histogram returns 0 for every p, and p
   /// is clamped into [0, 1] (p <= 0 → the smallest recorded sample's bucket
-  /// bound, p >= 1 → the largest; NaN behaves as 0). p=0.5 → p50,
-  /// p=0.99 → p99. The top bucket reports max() exactly instead of a
-  /// 2^63-scale bound.
+  /// bound, p >= 1 → max(); NaN behaves as 0). p=0.5 → p50, p=0.99 → p99.
   int64_t percentile(double p) const;
 
  private:
   friend class Registry;
-  std::array<std::atomic<int64_t>, 65> buckets_{};  ///< index = bit_width(v)
+  static constexpr int kSubBucketBits = 4;
+  static constexpr int kSubBuckets = 1 << kSubBucketBits;
+
+  /// v < 16 → v; otherwise 16 buckets per bit_width(v) above 4, indexed by
+  /// the 4 bits below the leading one.
+  static size_t bucket_of(uint64_t v) {
+    const int width = std::bit_width(v);
+    if (width <= kSubBucketBits) return static_cast<size_t>(v);
+    const int shift = width - kSubBucketBits - 1;
+    return static_cast<size_t>((width - kSubBucketBits) * kSubBuckets) +
+           ((v >> shift) & (kSubBuckets - 1));
+  }
+  /// Largest value that lands in bucket `b` (bucket_of's inverse).
+  static uint64_t bucket_upper(size_t b);
+
+  /// bit_width of a non-negative int64 is at most 63.
+  std::array<std::atomic<int64_t>, (63 - kSubBucketBits + 1) * kSubBuckets>
+      buckets_{};
   std::atomic<int64_t> count_{0};
   std::atomic<int64_t> sum_{0};
   std::atomic<int64_t> max_{0};

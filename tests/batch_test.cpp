@@ -482,6 +482,31 @@ TEST(BatchInfra, UtilizationCountersTrackSweepsAndLanes) {
   EXPECT_GE(obs::registry().counter("fault.lanes_masked")->value(), masked0);
 }
 
+// The ExecPlan shape of the IDCT family bench_sim_throughput times: the
+// instruction count and level depth of each builder's raw netlist are
+// deterministic, so a change here is a lowering or frontend change.
+TEST(BatchInfra, IdctFamilyExecPlanShapeIsPinned) {
+  struct Shape {
+    const char* builder;
+    size_t nodes;
+    int depth;
+  };
+  const Shape expected[] = {
+      {"verilog_initial", 1596, 28}, {"verilog_opt1", 1283, 18},
+      {"verilog_opt2", 1074, 23},    {"chisel_initial", 1929, 28},
+      {"chisel_opt", 1515, 26},      {"bsv_opt", 1750, 25},
+      {"xls_p8", 2482, 10},
+  };
+  const workload::WorkloadSpec& spec =
+      workload::Registry::instance().get("idct");
+  for (const Shape& e : expected) {
+    const Design d = spec.builder(e.builder).build();
+    const auto plan = netlist::ExecPlan::for_design(d);
+    EXPECT_EQ(plan->instrs().size(), e.nodes) << e.builder;
+    EXPECT_EQ(plan->depth(), e.depth) << e.builder;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomNetlistBatchDiff,
                          ::testing::Range<uint64_t>(1, 21));
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomNetlistLaneFaults,

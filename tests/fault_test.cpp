@@ -17,6 +17,8 @@
 #include "rtl/designs.hpp"
 #include "sim/simulator.hpp"
 #include "synth/synthesize.hpp"
+#include "tools/compile.hpp"
+#include "workload/workload.hpp"
 
 namespace hlshc::fault {
 namespace {
@@ -421,6 +423,57 @@ TEST(Resilience, EvaluateJoinsCampaignWithCostModel) {
   std::string table = resilience_table({r});
   EXPECT_NE(table.find("verilog"), std::string::npos);
   EXPECT_NE(table.find("VF"), std::string::npos);
+}
+
+// The seeded SEU campaign bench_fault_campaign reports: 150 sites per
+// design, sample seed 2026, injections before cycle 60, over the compiled
+// Verilog IDCT progression and its TMR-hardened opt2. The outcome mix and
+// the A/P/Q axes are deterministic, so any change is a functional change;
+// TMR must show no SDC and no hang.
+TEST(Resilience, SeededIdctCampaignOutcomeMixIsPinned) {
+  struct Expected {
+    const char* tag;
+    int masked, sdc, detected, hang;
+    long area;
+    double periodicity_cycles;
+  };
+  const Expected expected[] = {
+      {"verilog initial", 128, 22, 0, 0, 30516, 8},
+      {"verilog opt2", 135, 15, 0, 0, 8255, 8},
+      {"verilog opt2 + TMR", 150, 0, 0, 0, 25096, 8},
+  };
+  const workload::WorkloadSpec& spec =
+      workload::Registry::instance().get("idct");
+  const Design initial =
+      tools::compile(spec.builder("verilog_initial").build()).design;
+  const Design opt2 = tools::compile(spec.builder("verilog_opt2").build()).design;
+  // Hardening runs after the compile pipeline (CSE would merge the TMR
+  // copies), so synthesis below keeps the pipeline off.
+  const Design designs[] = {initial, opt2, tmr(opt2)};
+  tools::CompileOptions no_pipeline;
+  no_pipeline.optimize = false;
+  CampaignOptions opts;
+  opts.matrices = 2;
+  opts.max_cycles = 20000;
+  opts.keep_runs = false;
+  for (size_t i = 0; i < 3; ++i) {
+    const Expected& e = expected[i];
+    SCOPED_TRACE(e.tag);
+    const std::vector<FaultSite> sites =
+        sample_seu_sites(designs[i], 150, 60, 2026);
+    const DesignResilience r = resilience_from_campaign(
+        designs[i], spec, run_campaign(designs[i], spec, sites, opts),
+        tools::compile_synth_normalized(designs[i], no_pipeline), opts);
+    const CampaignCounts& c = r.campaign.counts;
+    EXPECT_EQ(c.total(), 150);
+    EXPECT_EQ(c.masked, e.masked);
+    EXPECT_EQ(c.sdc, e.sdc);
+    EXPECT_EQ(c.detected, e.detected);
+    EXPECT_EQ(c.hang, e.hang);
+    EXPECT_DOUBLE_EQ(c.vulnerability(), (e.sdc + e.hang) / 150.0);
+    EXPECT_EQ(r.area, e.area);
+    EXPECT_EQ(r.periodicity_cycles, e.periodicity_cycles);
+  }
 }
 
 }  // namespace

@@ -3,9 +3,12 @@
 // parsed back for well-formedness), and the RunReport envelope.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <vector>
 
 #include "axis/testbench.hpp"
 #include "base/rng.hpp"
@@ -143,16 +146,18 @@ TEST_F(ObsTest, HistogramBucketsCountsAndPercentiles) {
   EXPECT_EQ(h->percentile(0.5), 0);       // empty: all quantiles 0
 
   // 90 fast samples and 10 slow ones: p50 lands in the fast band, p99 in
-  // the slow band. Percentiles are conservative bucket upper bounds
-  // (2^bit_width(v) - 1), so assert band membership, not exact values.
+  // the slow band. Percentiles are conservative bucket upper bounds: 100
+  // sits in [100, 103] (16 sub-buckets of 4 between 64 and 127), and the
+  // slow band's bound is capped at the recorded max.
   for (int i = 0; i < 90; ++i) h->record(100);
   for (int i = 0; i < 10; ++i) h->record(100000);
   EXPECT_EQ(h->count(), 100);
   EXPECT_EQ(h->sum(), 90 * 100 + 10 * 100000);
   EXPECT_EQ(h->max(), 100000);
-  EXPECT_GE(h->percentile(0.5), 100);
-  EXPECT_LT(h->percentile(0.5), 100000);
-  EXPECT_GE(h->percentile(0.99), 100000);
+  EXPECT_EQ(h->percentile(0.5), 103);
+  EXPECT_EQ(h->percentile(0.9), 103);
+  EXPECT_EQ(h->percentile(0.91), 100000);
+  EXPECT_EQ(h->percentile(0.99), 100000);
 
   h->record(0);          // zero lands in the first bucket, not UB
   h->record(-5);         // negatives clamp to zero
@@ -373,12 +378,52 @@ TEST_F(ObsTest, HistogramPercentileEdgeCases) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   EXPECT_EQ(h->percentile(nan), h->percentile(0.0));
 
-  // p=1 lands in the top occupied bucket, whose conservative upper bound
-  // covers (is >=) the true maximum.
-  EXPECT_GE(h->percentile(1.0), static_cast<int64_t>(1u << 20));
-  EXPECT_LT(h->percentile(1.0), static_cast<int64_t>(1u << 22));
-  EXPECT_GE(h->percentile(0.0), 1000);
+  // p=1 lands in the top occupied bucket, whose bound is capped at the
+  // true maximum; 1000 sits in the sub-bucket [992, 1023].
+  EXPECT_EQ(h->percentile(1.0), static_cast<int64_t>(1u << 20));
+  EXPECT_EQ(h->percentile(0.0), 1023);
+  EXPECT_EQ(h->percentile(0.5), 1023);
   EXPECT_LE(h->percentile(0.5), h->percentile(0.99));
+
+  // Values below 16 have a bucket each, so they are reported exactly.
+  obs::Histogram* small = obs::registry().histogram("t.small");
+  for (int v = 0; v < 16; ++v) small->record(v);
+  EXPECT_EQ(small->percentile(0.5), 7);
+  EXPECT_EQ(small->percentile(1.0), 15);
+
+  // The top bucket (bit_width 63) reports max(), not a 2^63-scale bound.
+  obs::Histogram* huge = obs::registry().histogram("t.huge");
+  huge->record(std::numeric_limits<int64_t>::max() - 5);
+  EXPECT_EQ(huge->percentile(0.5), std::numeric_limits<int64_t>::max() - 5);
+}
+
+// Log-linear buckets bound the error: on a seeded sample spread over nine
+// decades, every percentile is the exact nearest-rank value or at most
+// 6.25% (one sub-bucket width) above it.
+TEST_F(ObsTest, HistogramPercentilesAreWithinOneSixteenthOfNearestRank) {
+  obs::Histogram* h = obs::registry().histogram("t.accuracy");
+  hlshc::SplitMix64 rng(2026);
+  std::vector<int64_t> sample;
+  for (int i = 0; i < 20000; ++i) {
+    const int decade = static_cast<int>(rng.next() % 9);
+    int64_t v = 1 + static_cast<int64_t>(rng.next() % 1000);
+    for (int d = 0; d < decade; ++d) v *= 10;
+    sample.push_back(v);
+    h->record(v);
+  }
+  std::sort(sample.begin(), sample.end());
+  const double n = static_cast<double>(sample.size());
+  for (double p : {0.0, 0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999,
+                   1.0}) {
+    const size_t rank = std::clamp<size_t>(
+        static_cast<size_t>(std::ceil(p * n)), 1, sample.size());
+    const int64_t exact = sample[rank - 1];
+    const int64_t estimate = h->percentile(p);
+    EXPECT_GE(estimate, exact) << "p=" << p;
+    EXPECT_LE(static_cast<double>(estimate),
+              static_cast<double>(exact) * (1.0 + 1.0 / 16))
+        << "p=" << p;
+  }
 }
 
 // ---- labeled metric names --------------------------------------------------

@@ -499,6 +499,58 @@ TEST(Server, ShedsWhenTheQueueIsFullAndRecovers) {
   EXPECT_TRUE(call_ok(server, R"({"method":"ping"})").find("pong")->as_bool());
 }
 
+// The storm bench_service runs, at unit-test size: two submitters each keep
+// a window of 8 requests in flight against a deep queue, round-robin over
+// four designs with an evaluate every 5th request. Every request is
+// answered ok or shed, a queue deeper than the offered load sheds nothing,
+// and the round-robin mix hits the compile cache on at least half its
+// lookups.
+TEST(Server, RoundRobinStormOnADeepQueueShedsNothingAndHitsTheCache) {
+  Server server(small_server(/*workers=*/2, /*queue=*/64));
+  const std::vector<std::string> designs = {"verilog_initial", "verilog_opt1",
+                                            "verilog_opt2", "chisel_opt"};
+  constexpr int kRequests = 48;
+  constexpr int kClients = 2;
+  constexpr size_t kWindow = 8;
+  std::atomic<int> ok{0}, shed{0};
+  const auto settle = [&](const std::string& line) {
+    const Json response = Json::parse(line);
+    if (response.find("ok")->as_bool())
+      ++ok;
+    else if (response.find("error")->find("code")->as_string() == "overloaded")
+      ++shed;
+    else
+      ADD_FAILURE() << "unexpected response: " << line;
+  };
+  std::vector<std::thread> submitters;
+  for (int c = 0; c < kClients; ++c)
+    submitters.emplace_back([&, c] {
+      std::vector<std::future<std::string>> window;
+      for (int i = c; i < kRequests; i += kClients) {
+        const bool evaluate = i % 5 == 4;
+        window.push_back(server.submit(
+            std::string(R"({"method":")") +
+            (evaluate ? "evaluate" : "compile") + R"(","params":{"design":")" +
+            designs[static_cast<size_t>(i) % designs.size()] + "\"" +
+            (evaluate ? R"(,"matrices":1)" : "") + "}}"));
+        if (window.size() >= kWindow) {
+          settle(window.front().get());
+          window.erase(window.begin());
+        }
+      }
+      for (auto& f : window) settle(f.get());
+    });
+  for (std::thread& t : submitters) t.join();
+
+  EXPECT_EQ(ok + shed, kRequests);
+  EXPECT_EQ(shed.load(), 0);
+  EXPECT_EQ(server.shed_count(), 0);
+  const DesignCache::Stats cache = server.cache_stats();
+  ASSERT_GT(cache.hits + cache.misses, 0);
+  EXPECT_GE(static_cast<double>(cache.hits) / (cache.hits + cache.misses), 0.5)
+      << cache.hits << " hits, " << cache.misses << " misses";
+}
+
 // The headline property: 100 hostile requests in a row cannot degrade the
 // daemon, and the compile served afterwards is bitwise identical to calling
 // tools::compile directly.
