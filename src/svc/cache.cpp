@@ -24,18 +24,65 @@ std::string content_hash(std::string_view text) {
   return out;
 }
 
+namespace {
+
+/// The evaluation-tier key: the compiled design's content hash, the
+/// workload and the evaluation options.
+std::string evaluation_key(const std::string& result_hash,
+                           const std::string& workload,
+                           const core::EvaluateOptions& options) {
+  // Adding a field breaks this binding until the field gets its place in
+  // the key (or a reason to stay out of it).
+  const auto& [matrices, realistic_inputs, seed, max_cycles, lanes, synth,
+               deadline] = options;
+  (void)synth;     // the service always measures with the paper's defaults
+  (void)deadline;  // a wall budget never changes a completed evaluation
+  return result_hash + ' ' + workload + " matrices=" +
+         std::to_string(matrices) +
+         " realistic_inputs=" + std::to_string(realistic_inputs) +
+         " seed=" + std::to_string(seed) +
+         " max_cycles=" + std::to_string(max_cycles) +
+         " lanes=" + std::to_string(lanes);
+}
+
+/// Counts and logs one lookup outcome when observability is on.
+void note_lookup(const char* result, const std::string& key) {
+  if (!obs::enabled()) return;
+  obs::count(obs::labeled("svc.cache.lookups", "result", result));
+  obs::log_event(obs::EventLevel::kDebug, "svc.cache.lookup",
+                 {{"result", result}, {"key", key}});
+}
+
+/// Evicts least recently used memo entries beyond kMemoEntries.
+template <typename V>
+void trim_memo(LruMap<V>& tier) {
+  while (tier.size() > DesignCache::kMemoEntries) tier.pop_oldest();
+}
+
+}  // namespace
+
 DesignCache::DesignCache(CacheConfig config) : config_(config) {}
 
 std::string DesignCache::fingerprint(const netlist::Design& design,
                                      const tools::CompileOptions& options) {
   // The dump is one stable line per node, so structurally identical designs
-  // fingerprint identically regardless of how they were built. Verify mode
-  // does not change the output design, so it is deliberately not part of
-  // the key; every option that does changes the fingerprint.
-  std::string key = content_hash(netlist::dump_text(design));
-  key += options.optimize ? ":opt" : ":raw";
-  if (options.strength_reduce) key += ":sr";
-  key += ":i" + std::to_string(options.max_iterations);
+  // fingerprint identically regardless of how they were built.
+  return content_hash(netlist::dump_text(design)) + ' ' +
+         tools::canonical_options(options);
+}
+
+std::string DesignCache::request_key(std::string_view design,
+                                     uint64_t generation,
+                                     const tools::CompileOptions& options,
+                                     const synth::ScheduleOptions& schedule) {
+  const auto& [stages, objective, retime, delay_model] = schedule;
+  (void)delay_model;  // the service always schedules with the default
+  std::string key(design);
+  key += " gen=" + std::to_string(generation) + ' ' +
+         tools::canonical_options(options) +
+         " stages=" + std::to_string(stages) +
+         " objective=" + synth::schedule_objective_name(objective) +
+         " retime=" + std::to_string(retime);
   return key;
 }
 
@@ -44,27 +91,16 @@ CachedCompile DesignCache::get_or_compile(
   const std::string key = fingerprint(design, options);
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      lru_.splice(lru_.end(), lru_, it->second.lru);  // mark MRU
+    if (const Entry* e = entries_.find(key)) {
       ++hits_;
       publish_metrics_locked();
-      if (obs::enabled()) {
-        obs::count(obs::labeled("svc.cache.lookups", "result", "hit"));
-        obs::log_event(obs::EventLevel::kDebug, "svc.cache.lookup",
-                       {{"result", "hit"}, {"key", key}});
-      }
-      return {it->second.design, it->second.stats, key,
-              it->second.result_hash, true};
+      note_lookup("hit", key);
+      return {e->design, e->stats, key, e->result_hash, true};
     }
     ++misses_;
     publish_metrics_locked();
   }
-  if (obs::enabled()) {
-    obs::count(obs::labeled("svc.cache.lookups", "result", "miss"));
-    obs::log_event(obs::EventLevel::kDebug, "svc.cache.lookup",
-                   {{"result", "miss"}, {"key", key}});
-  }
+  note_lookup("miss", key);
 
   // Miss: compile outside the lock (a slow compile must not block hits),
   // then warm every derived cache the entry will be read through — after
@@ -87,11 +123,9 @@ CachedCompile DesignCache::get_or_compile(
   CachedCompile out{shared, compiled.stats, key, entry.result_hash, false};
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (entries_.find(key) == entries_.end()) {  // lost races insert first
-      lru_.push_back(key);
-      entry.lru = std::prev(lru_.end());
-      bytes_ += entry.bytes;
-      entries_.emplace(key, std::move(entry));
+    const size_t bytes = entry.bytes;
+    if (entries_.insert(key, std::move(entry))) {  // lost races insert first
+      bytes_ += bytes;
       evict_over_budget_locked();
     }
     publish_metrics_locked();
@@ -99,9 +133,85 @@ CachedCompile DesignCache::get_or_compile(
   return out;
 }
 
+ResolvedCompile DesignCache::resolve(const std::string& request_key,
+                                     bool need_design,
+                                     const std::function<BuiltDesign()>& build,
+                                     const tools::CompileOptions& options) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (const CompileSummary* s = requests_.find(request_key)) {
+      std::shared_ptr<const netlist::Design> design;
+      if (need_design)
+        if (const Entry* e = entries_.find(s->key)) design = e->design;
+      if (!need_design || design) {
+        ++hits_;
+        ++request_hits_;
+        publish_metrics_locked();
+        note_lookup("request_hit", request_key);
+        return {*s, std::move(design), true};
+      }
+      // The content entry was evicted: rebuild below.
+    }
+  }
+
+  BuiltDesign built = build();
+  const CachedCompile compiled = get_or_compile(built.design, options);
+  CompileSummary summary;
+  summary.design = built.design.name();
+  summary.key = compiled.key;
+  summary.content_hash = compiled.result_hash;
+  summary.node_count = static_cast<int64_t>(compiled.design->node_count());
+  summary.iterations = compiled.stats.iterations;
+  summary.nodes_before = static_cast<int64_t>(compiled.stats.nodes_before());
+  summary.nodes_after = static_cast<int64_t>(compiled.stats.nodes_after());
+  summary.latency = built.latency;
+  summary.pipeline_regs = built.pipeline_regs;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    requests_.insert(request_key, summary);
+    trim_memo(requests_);
+    publish_metrics_locked();
+  }
+  return {std::move(summary), compiled.design, compiled.hit};
+}
+
+std::optional<EvaluationHit> DesignCache::find_evaluation(
+    const std::string& request_key, const std::string& workload,
+    const core::EvaluateOptions& options) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const CompileSummary* s = requests_.find(request_key);
+  if (!s) return std::nullopt;
+  const core::DesignEvaluation* ev =
+      evaluations_.find(evaluation_key(s->content_hash, workload, options));
+  if (!ev) return std::nullopt;
+  ++hits_;
+  ++evaluation_hits_;
+  publish_metrics_locked();
+  note_lookup("evaluation_hit", request_key);
+  return EvaluationHit{s->design, *ev};
+}
+
+void DesignCache::put_evaluation(const std::string& result_hash,
+                                 const std::string& workload,
+                                 const core::EvaluateOptions& options,
+                                 core::DesignEvaluation evaluation) {
+  evaluation.pipeline = {};
+  const std::string key = evaluation_key(result_hash, workload, options);
+  std::lock_guard<std::mutex> lock(mutex_);
+  evaluations_.insert(key, std::move(evaluation));
+  trim_memo(evaluations_);
+  publish_metrics_locked();
+}
+
 DesignCache::Stats DesignCache::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return {hits_, misses_, evictions_, bytes_, entries_.size()};
+  return {hits_,
+          misses_,
+          evictions_,
+          bytes_,
+          entries_.size(),
+          {request_hits_, requests_.size()},
+          {evaluation_hits_, evaluations_.size()}};
 }
 
 void DesignCache::evict_over_budget_locked() {
@@ -109,11 +219,8 @@ void DesignCache::evict_over_budget_locked() {
   // design occupies the cache rather than thrashing it.
   while (entries_.size() > 1 &&
          (bytes_ > config_.max_bytes || entries_.size() > config_.max_entries)) {
-    const std::string& victim = lru_.front();
-    auto it = entries_.find(victim);
-    bytes_ -= it->second.bytes;
-    entries_.erase(it);
-    lru_.pop_front();
+    bytes_ -= entries_.oldest().bytes;
+    entries_.pop_oldest();
     ++evictions_;
     if (obs::enabled())
       obs::count(obs::labeled("svc.cache.lookups", "result", "evict"));
@@ -131,6 +238,14 @@ void DesignCache::publish_metrics_locked() {
   reg.gauge("svc.cache.hits")->set(static_cast<double>(hits_));
   reg.gauge("svc.cache.misses")->set(static_cast<double>(misses_));
   reg.gauge("svc.cache.evictions")->set(static_cast<double>(evictions_));
+  reg.gauge("svc.cache.request.entries")
+      ->set(static_cast<double>(requests_.size()));
+  reg.gauge("svc.cache.request.hits")
+      ->set(static_cast<double>(request_hits_));
+  reg.gauge("svc.cache.evaluation.entries")
+      ->set(static_cast<double>(evaluations_.size()));
+  reg.gauge("svc.cache.evaluation.hits")
+      ->set(static_cast<double>(evaluation_hits_));
 }
 
 }  // namespace hlshc::svc

@@ -1,5 +1,6 @@
 #include "svc/protocol.hpp"
 
+#include <cmath>
 #include <utility>
 
 namespace hlshc::svc {
@@ -19,6 +20,17 @@ const char* error_code_name(ErrorCode code) {
 }
 
 bool is_transient(ErrorCode code) { return code == ErrorCode::kOverloaded; }
+
+std::optional<int64_t> exact_int(const Json& value) {
+  if (value.kind() != Json::Kind::kNumber) return std::nullopt;
+  // A double in [-2^63, 2^63) with no fraction casts to int64_t without
+  // overflow, and an integer literal is held exactly. (The few int64_t
+  // values within 2^10 of INT64_MAX round up to 2^63 and are rejected too;
+  // every bounded parameter ends far below them.)
+  const double d = value.as_number();
+  if (!(d >= -0x1p63 && d < 0x1p63) || d != std::trunc(d)) return std::nullopt;
+  return value.as_int();
+}
 
 Request parse_request(const std::string& line, size_t max_bytes) {
   if (max_bytes > 0 && line.size() > max_bytes)
@@ -55,10 +67,11 @@ Request parse_request(const std::string& line, size_t max_bytes) {
   }
 
   if (const Json* deadline = doc.find("deadline_ms")) {
-    if (deadline->kind() != Json::Kind::kNumber || deadline->as_int() <= 0)
+    const std::optional<int64_t> ms = exact_int(*deadline);
+    if (!ms || *ms <= 0)
       throw ProtocolError(ErrorCode::kInvalidRequest,
                           "\"deadline_ms\" must be a positive integer");
-    req.deadline_ms = deadline->as_int();
+    req.deadline_ms = *ms;
   }
   return req;
 }

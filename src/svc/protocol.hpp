@@ -49,6 +49,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "base/check.hpp"
@@ -96,6 +97,12 @@ struct Request {
   obs::Json params;      ///< object; empty object when absent
   int64_t deadline_ms = 0;  ///< 0 = no explicit deadline
 };
+
+/// The integer a JSON number holds; nullopt when it is not a number, has a
+/// fractional part, or lies outside int64_t (e.g. 2.5, 1e300). Every
+/// integer the protocol reads goes through this, so 2.5 is rejected rather
+/// than truncated and no out-of-range double is ever cast.
+std::optional<int64_t> exact_int(const obs::Json& value);
 
 /// Parses one request line. Throws ProtocolError with kOversizedRequest when
 /// the line exceeds `max_bytes`, kInvalidRequest on malformed JSON / missing

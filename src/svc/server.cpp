@@ -15,6 +15,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "rtl/designs.hpp"
+#include "sim/engine.hpp"
 #include "synth/schedule.hpp"
 #include "tools/flows.hpp"
 #include "workload/workload.hpp"
@@ -44,10 +45,12 @@ int64_t get_int(const Json& params, const char* key, int64_t fallback,
                 int64_t min, int64_t max) {
   const Json* v = find_param(params, key);
   if (!v) return fallback;
-  if (v->kind() != Json::Kind::kNumber)
+  const std::optional<int64_t> exact = exact_int(*v);
+  if (!exact)
     throw ProtocolError(ErrorCode::kInvalidRequest,
-                        std::string("params.") + key + " must be a number");
-  const int64_t n = v->as_int();
+                        std::string("params.") + key +
+                            " must be an integer within int64 range");
+  const int64_t n = *exact;
   if (n < min || n > max)
     throw ProtocolError(ErrorCode::kInvalidRequest,
                         std::string("params.") + key + " = " +
@@ -107,7 +110,7 @@ void Server::register_design(const std::string& name,
                              bool evaluable) {
   HLSHC_CHECK(builder != nullptr, "null design builder for '" << name << '\'');
   std::lock_guard<std::mutex> lock(designs_mutex_);
-  designs_[name] = {std::move(builder), evaluable};
+  designs_[name] = {std::move(builder), evaluable, ++registrations_};
 }
 
 std::vector<std::string> Server::design_names() const {
@@ -288,25 +291,48 @@ Json Server::dispatch(const Request& req,
                       "unknown method '" + req.method + '\'');
 }
 
-netlist::Design Server::build_design(const Json& params,
-                                     bool evaluate) const {
+Server::RegisteredDesign Server::find_design(const Json& params,
+                                             bool evaluate) const {
   const std::string name = require_string(params, "design");
-  std::function<netlist::Design()> builder;
-  {
-    std::lock_guard<std::mutex> lock(designs_mutex_);
-    auto it = designs_.find(name);
-    if (it == designs_.end())
-      throw ProtocolError(ErrorCode::kInvalidRequest,
-                          "unknown design '" + name +
-                              "' (see list_designs)");
-    if (evaluate && !it->second.evaluable)
-      throw ProtocolError(ErrorCode::kInvalidRequest,
-                          "design '" + name +
-                              "' has no AXI-Stream ports to drive (see "
-                              "list_designs.evaluable)");
-    builder = it->second.build;
-  }
-  return builder();
+  std::lock_guard<std::mutex> lock(designs_mutex_);
+  auto it = designs_.find(name);
+  if (it == designs_.end())
+    throw ProtocolError(ErrorCode::kInvalidRequest,
+                        "unknown design '" + name + "' (see list_designs)");
+  if (evaluate && !it->second.evaluable)
+    throw ProtocolError(ErrorCode::kInvalidRequest,
+                        "design '" + name +
+                            "' has no AXI-Stream ports to drive (see "
+                            "list_designs.evaluable)");
+  return {name, it->second.generation, it->second.build};
+}
+
+ResolvedCompile Server::resolve_compile(
+    const RegisteredDesign& design, const tools::CompileOptions& options,
+    const synth::ScheduleOptions& schedule, bool need_design,
+    const std::shared_ptr<const Deadline>& deadline) {
+  const std::string key = DesignCache::request_key(
+      design.name, design.generation, options, schedule);
+  return cache_.resolve(key, need_design, [&] {
+    BuiltDesign built{design.build()};
+    if (deadline) deadline->check("'" + built.design.name() + "' built");
+    // Scheduler knobs: stages > 0 pipelines the (combinational) function
+    // before the canonical compile pipeline, the same order the DSE flows
+    // use. Asking to pipeline a sequential design is a client mistake, not
+    // a server fault — schedule_pipeline's diagnostic comes back verbatim.
+    if (schedule.stages > 0) {
+      try {
+        synth::ScheduleResult scheduled =
+            synth::schedule_pipeline(built.design, schedule);
+        built.design = std::move(scheduled.design);
+        built.latency = scheduled.latency;
+        built.pipeline_regs = scheduled.pipeline_regs;
+      } catch (const Error& e) {
+        throw ProtocolError(ErrorCode::kInvalidRequest, e.what());
+      }
+    }
+    return built;
+  }, options);
 }
 
 const workload::WorkloadSpec& Server::resolve_workload(
@@ -392,56 +418,37 @@ synth::ScheduleOptions schedule_options(const Json& params) {
 
 Json Server::handle_compile(const Request& req,
                             const std::shared_ptr<const Deadline>& deadline) {
-  // Validate params.workload up front so a typo is an invalid_request, not a
-  // half-finished compile.
+  // Every param is validated before the cache is consulted, so a typo is an
+  // invalid_request whether or not an identical request was served before.
   const workload::WorkloadSpec& spec = resolve_workload(req.params);
   const synth::ScheduleOptions sched = schedule_options(req.params);
-  netlist::Design design = build_design(req.params);
-  if (deadline) deadline->check("compile of '" + design.name() + "' (built)");
-
-  // Scheduler knobs: stages > 0 pipelines the (combinational) function
-  // before the canonical compile pipeline, the same order the DSE flows
-  // use. Asking to pipeline a sequential design is a client mistake, not a
-  // server fault — schedule_pipeline's diagnostic comes back verbatim.
-  std::optional<synth::ScheduleResult> scheduled;
-  if (sched.stages > 0) {
-    try {
-      scheduled = synth::schedule_pipeline(design, sched);
-    } catch (const Error& e) {
-      throw ProtocolError(ErrorCode::kInvalidRequest, e.what());
-    }
-    design = std::move(scheduled->design);
-  }
-
-  const CachedCompile compiled =
-      cache_.get_or_compile(design, compile_options(req.params, deadline));
+  const tools::CompileOptions options = compile_options(req.params, deadline);
+  // The full canonical dump on request: the poison test diffs it against a
+  // direct tools::compile to prove the service changes nothing.
+  const bool emit_netlist = get_bool(req.params, "emit_netlist", false);
+  const RegisteredDesign registered = find_design(req.params);
+  const ResolvedCompile compiled =
+      resolve_compile(registered, options, sched, emit_netlist, deadline);
+  const CompileSummary& s = compiled.summary;
 
   Json result = Json::object();
-  result.set("design", Json::string(design.name()));
+  result.set("design", Json::string(s.design));
   if (sched.stages > 0) {
     result.set("stages", Json::number(static_cast<int64_t>(sched.stages)));
     result.set("objective", Json::string(synth::schedule_objective_name(
                                 sched.objective)));
-    result.set("latency",
-               Json::number(static_cast<int64_t>(scheduled->latency)));
-    result.set("pipeline_regs",
-               Json::number(static_cast<int64_t>(scheduled->pipeline_regs)));
+    result.set("latency", Json::number(s.latency));
+    result.set("pipeline_regs", Json::number(s.pipeline_regs));
   }
   result.set("workload", Json::string(spec.name));
   result.set("cached", Json::boolean(compiled.hit));
-  result.set("key", Json::string(compiled.key));
-  result.set("content_hash", Json::string(compiled.result_hash));
-  result.set("node_count",
-             Json::number(static_cast<int64_t>(compiled.design->node_count())));
-  result.set("iterations",
-             Json::number(static_cast<int64_t>(compiled.stats.iterations)));
-  result.set("nodes_before",
-             Json::number(static_cast<int64_t>(compiled.stats.nodes_before())));
-  result.set("nodes_after",
-             Json::number(static_cast<int64_t>(compiled.stats.nodes_after())));
-  // The full canonical dump on request: the poison test diffs it against a
-  // direct tools::compile to prove the service changes nothing.
-  if (get_bool(req.params, "emit_netlist", false))
+  result.set("key", Json::string(s.key));
+  result.set("content_hash", Json::string(s.content_hash));
+  result.set("node_count", Json::number(s.node_count));
+  result.set("iterations", Json::number(s.iterations));
+  result.set("nodes_before", Json::number(s.nodes_before));
+  result.set("nodes_after", Json::number(s.nodes_after));
+  if (emit_netlist)
     result.set("netlist", Json::string(netlist::dump_text(*compiled.design)));
   return result;
 }
@@ -449,13 +456,8 @@ Json Server::handle_compile(const Request& req,
 Json Server::handle_evaluate(const Request& req,
                              const std::shared_ptr<const Deadline>& deadline) {
   const workload::WorkloadSpec& spec = resolve_workload(req.params);
-  const netlist::Design design = build_design(req.params, true);
-  if (deadline) deadline->check("evaluate of '" + design.name() + "' (built)");
-  // The same decomposition as tools::evaluate_design — compile through the
-  // canonical pipeline (memoized), then the Section III.C measurement — so
-  // the cache applies to the expensive half shared between methods.
-  const CachedCompile compiled =
-      cache_.get_or_compile(design, compile_options(req.params, deadline));
+  const RegisteredDesign registered = find_design(req.params, true);
+  const tools::CompileOptions options = compile_options(req.params, deadline);
   core::EvaluateOptions eval;
   eval.matrices = static_cast<int>(
       get_int(req.params, "matrices", eval.matrices, 1, 64));
@@ -463,31 +465,55 @@ Json Server::handle_evaluate(const Request& req,
       req.params, "max_cycles", static_cast<int64_t>(eval.max_cycles), 1,
       int64_t{1} << 40));
   eval.deadline = deadline;
-  const core::DesignEvaluation ev =
-      core::evaluate_axis_design(*compiled.design, spec, eval);
 
-  Json result = Json::object();
-  result.set("design", Json::string(design.name()));
-  result.set("workload", Json::string(spec.name));
-  result.set("cached", Json::boolean(compiled.hit));
-  result.set("functional", Json::boolean(ev.functional));
-  result.set("latency_cycles", Json::number(ev.latency_cycles));
-  result.set("periodicity_cycles", Json::number(ev.periodicity_cycles));
-  result.set("fmax_mhz", Json::number(ev.fmax_mhz));
-  result.set("throughput_mops", Json::number(ev.throughput_mops));
-  result.set("area", Json::number(static_cast<int64_t>(ev.area)));
-  result.set("quality", Json::number(ev.quality()));
-  return result;
+  const auto respond = [&](const std::string& design, bool cached,
+                           const core::DesignEvaluation& ev) {
+    Json result = Json::object();
+    result.set("design", Json::string(design));
+    result.set("workload", Json::string(spec.name));
+    result.set("cached", Json::boolean(cached));
+    result.set("functional", Json::boolean(ev.functional));
+    result.set("latency_cycles", Json::number(ev.latency_cycles));
+    result.set("periodicity_cycles", Json::number(ev.periodicity_cycles));
+    result.set("fmax_mhz", Json::number(ev.fmax_mhz));
+    result.set("throughput_mops", Json::number(ev.throughput_mops));
+    result.set("area", Json::number(static_cast<int64_t>(ev.area)));
+    result.set("quality", Json::number(ev.quality()));
+    return result;
+  };
+  const std::string request_key = DesignCache::request_key(
+      registered.name, registered.generation, options, {});
+  if (const std::optional<EvaluationHit> hit =
+          cache_.find_evaluation(request_key, spec.name, eval))
+    return respond(hit->design, true, hit->evaluation);
+
+  // The same decomposition as tools::evaluate_design — compile through the
+  // canonical pipeline (memoized), then the Section III.C measurement — so
+  // the cache applies to the expensive half shared between methods.
+  const ResolvedCompile compiled =
+      resolve_compile(registered, options, {}, true, deadline);
+  core::DesignEvaluation ev;
+  try {
+    ev = core::evaluate_axis_design(*compiled.design, spec, eval);
+  } catch (const sim::SimTimeout& e) {
+    // Under the default bound a wedged testbench is our bug; under the
+    // client's own bound it is the client's choice.
+    if (!req.params.find("max_cycles")) throw;
+    throw ProtocolError(ErrorCode::kInvalidRequest,
+                        "params.max_cycles = " +
+                            std::to_string(eval.max_cycles) +
+                            " is too few cycles to evaluate '" +
+                            compiled.summary.design + "': " + e.what());
+  }
+  cache_.put_evaluation(compiled.summary.content_hash, spec.name, eval, ev);
+  return respond(compiled.summary.design, compiled.hit, ev);
 }
 
 Json Server::handle_campaign(const Request& req,
                              const std::shared_ptr<const Deadline>& deadline) {
   const workload::WorkloadSpec& spec = resolve_workload(req.params);
-  const netlist::Design design = build_design(req.params, true);
-  if (deadline) deadline->check("campaign on '" + design.name() + "' (built)");
-  const CachedCompile compiled =
-      cache_.get_or_compile(design, compile_options(req.params, deadline));
-
+  const RegisteredDesign registered = find_design(req.params, true);
+  const tools::CompileOptions options = compile_options(req.params, deadline);
   const int sites =
       static_cast<int>(get_int(req.params, "sites", 16, 1, 100000));
   const uint64_t seed = static_cast<uint64_t>(
@@ -500,20 +526,12 @@ Json Server::handle_campaign(const Request& req,
     if (v->kind() != Json::Kind::kString)
       throw ProtocolError(ErrorCode::kInvalidRequest,
                           "params.kind must be a string");
+    if (v->as_string() != "seu" && v->as_string() != "stuck")
+      throw ProtocolError(ErrorCode::kInvalidRequest,
+                          "params.kind must be \"seu\" or \"stuck\", got '" +
+                              v->as_string() + '\'');
     return v->as_string();
   }();
-
-  std::vector<fault::FaultSite> fault_sites;
-  if (kind == "seu")
-    fault_sites = fault::sample_seu_sites(*compiled.design, sites, max_cycle,
-                                          seed);
-  else if (kind == "stuck")
-    fault_sites = fault::sample_stuck_sites(*compiled.design, sites, seed);
-  else
-    throw ProtocolError(ErrorCode::kInvalidRequest,
-                        "params.kind must be \"seu\" or \"stuck\", got '" +
-                            kind + '\'');
-
   fault::CampaignOptions copts;
   copts.matrices =
       static_cast<int>(get_int(req.params, "matrices", 2, 1, 64));
@@ -523,6 +541,13 @@ Json Server::handle_campaign(const Request& req,
   copts.progress_every = 0;  // a service response is the progress report
   copts.keep_runs = false;
   copts.deadline = deadline;
+
+  const ResolvedCompile compiled =
+      resolve_compile(registered, options, {}, true, deadline);
+  const std::vector<fault::FaultSite> fault_sites =
+      kind == "seu" ? fault::sample_seu_sites(*compiled.design, sites,
+                                              max_cycle, seed)
+                    : fault::sample_stuck_sites(*compiled.design, sites, seed);
   const fault::CampaignReport report =
       fault::run_campaign(*compiled.design, spec, fault_sites, copts);
 
@@ -533,7 +558,7 @@ Json Server::handle_campaign(const Request& req,
   counts.set("detected", Json::number(report.counts.detected));
   counts.set("hang", Json::number(report.counts.hang));
   Json result = Json::object();
-  result.set("design", Json::string(design.name()));
+  result.set("design", Json::string(compiled.summary.design));
   result.set("workload", Json::string(spec.name));
   result.set("cached", Json::boolean(compiled.hit));
   result.set("reference_functional",
@@ -647,6 +672,16 @@ Json Server::handle_stats() const {
   cache.set("evictions", Json::number(cs.evictions));
   cache.set("bytes", Json::number(static_cast<int64_t>(cs.bytes)));
   cache.set("entries", Json::number(static_cast<int64_t>(cs.entries)));
+  // The memo tiers in front of the content entries (their hits are part of
+  // "hits" above).
+  const auto tier = [](const DesignCache::TierStats& t) {
+    Json out = Json::object();
+    out.set("entries", Json::number(static_cast<int64_t>(t.entries)));
+    out.set("hits", Json::number(t.hits));
+    return out;
+  };
+  cache.set("request", tier(cs.request));
+  cache.set("evaluation", tier(cs.evaluation));
 
   Json queue = Json::object();
   queue.set("depth", Json::number(queue_.depth()));

@@ -24,7 +24,9 @@
 //     answers bitwise-identically to a direct tools::compile call.
 //   * Caching: compiles are memoized content-addressed (cache.hpp) with
 //     byte/entry budgets and LRU eviction, so a hot design costs one
-//     compile no matter how many clients ask.
+//     compile no matter how many clients ask; a request tier in front of
+//     it answers a repeated compile without rebuilding the design, and an
+//     evaluation tier answers a repeated evaluate without simulating.
 //
 // Metrics (when obs::enabled()): svc.requests / svc.ok / svc.error.<code> /
 // svc.shed counters, the svc.request_ns latency histogram — plus labeled
@@ -63,6 +65,7 @@
 #include "par/queue.hpp"
 #include "svc/cache.hpp"
 #include "svc/protocol.hpp"
+#include "synth/schedule.hpp"
 #include "tools/compile.hpp"
 #include "workload/workload.hpp"
 
@@ -82,8 +85,8 @@ struct ServerOptions {
   size_t recent_requests = 64;
   CacheConfig cache;
   /// Base compile options for compile/evaluate/campaign requests; per-request
-  /// params may override optimize/strength_reduce, and the per-request
-  /// deadline token is always attached on top.
+  /// params may override optimize, strength_reduce, narrow and verify, and
+  /// the per-request deadline token is always attached on top.
   tools::CompileOptions compile;
 };
 
@@ -159,12 +162,23 @@ class Server {
   /// event-log entries when params.trace_id names a specific trace.
   obs::Json handle_trace(const Request& req) const;
 
-  /// Builds the design named in params.design (kInvalidRequest when absent
-  /// or unregistered). The builder runs on the worker, under the deadline.
-  /// Builds params.design; with `evaluate`, first rejects a design that is
-  /// not evaluable.
-  netlist::Design build_design(const obs::Json& params,
+  /// A registered design as one request sees it.
+  struct RegisteredDesign {
+    std::string name;
+    uint64_t generation = 0;  ///< bumped by every register_design
+    std::function<netlist::Design()> build;
+  };
+  /// Looks up params.design (kInvalidRequest when absent or unregistered);
+  /// with `evaluate`, also rejects a design that is not evaluable.
+  RegisteredDesign find_design(const obs::Json& params,
                                bool evaluate = false) const;
+  /// The compile a request needs, through the cache tiers. On a miss the
+  /// builder runs on the worker, under the deadline, and `schedule` (stages
+  /// > 0) pipelines its output before the canonical compile.
+  ResolvedCompile resolve_compile(
+      const RegisteredDesign& design, const tools::CompileOptions& options,
+      const synth::ScheduleOptions& schedule, bool need_design,
+      const std::shared_ptr<const Deadline>& deadline);
   /// The workload spec a request measures against: an explicit
   /// params.workload wins (kInvalidRequest when unregistered); otherwise a
   /// "<workload>." design-name prefix is honoured when it names a registry
@@ -185,8 +199,10 @@ class Server {
   struct DesignEntry {
     std::function<netlist::Design()> build;
     bool evaluable = true;
+    uint64_t generation = 0;
   };
   std::map<std::string, DesignEntry> designs_;
+  uint64_t registrations_ = 0;  ///< source of DesignEntry::generation
   mutable std::mutex recent_mutex_;
   std::deque<RequestRecord> recent_;  ///< newest at the back, bounded
   par::TaskQueue queue_;  ///< declared last: workers die before the rest

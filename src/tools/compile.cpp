@@ -10,13 +10,28 @@
 
 namespace hlshc::tools {
 
+std::string canonical_options(const CompileOptions& options) {
+  // Adding a field breaks this binding until the field gets its place in
+  // the serialization (or, like the deadline, a reason to stay out of it).
+  const auto& [optimize, strength_reduce, narrow, verify, verify_cycles,
+               verify_seed, max_iterations, deadline] = options;
+  (void)deadline;  // a wall budget never changes the compiled design
+  return "optimize=" + std::to_string(optimize) +
+         " strength_reduce=" + std::to_string(strength_reduce) +
+         " narrow=" + std::to_string(narrow) +
+         " verify=" + std::to_string(verify) +
+         " verify_cycles=" + std::to_string(verify_cycles) +
+         " verify_seed=" + std::to_string(verify_seed) +
+         " max_iterations=" + std::to_string(max_iterations);
+}
+
 CompiledDesign compile(const netlist::Design& design,
                        const CompileOptions& options) {
   CompiledDesign out{design, {}};
   if (!options.optimize) return out;
 
   obs::Span span("tools.compile", "tools");
-  span.arg("design", design.name());
+  span.arg("design", design.name()).arg("options", canonical_options(options));
   netlist::PipelineOptions po;
   po.max_iterations = options.max_iterations;
   po.deadline = options.deadline;

@@ -40,6 +40,12 @@ struct CompileOptions {
   std::shared_ptr<const Deadline> deadline;
 };
 
+/// The one canonical text form of `options`: every field except the
+/// deadline, in declaration order ("optimize=1 strength_reduce=0 narrow=1
+/// ..."). The service's cache keys and the tools.compile span both use it,
+/// so a trace shows the same options string a cache entry is keyed on.
+std::string canonical_options(const CompileOptions& options);
+
 struct CompiledDesign {
   netlist::Design design;
   netlist::PassStats stats;

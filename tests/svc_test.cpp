@@ -171,7 +171,24 @@ TEST(Protocol, RejectsEachMalformationWithTheRightCode) {
             "invalid_request");
   EXPECT_EQ(code_of(R"({"method": "m", "deadline_ms": 0})", 1 << 16),
             "invalid_request");
+  EXPECT_EQ(code_of(R"({"method": "m", "deadline_ms": 2.5})", 1 << 16),
+            "invalid_request");
+  EXPECT_EQ(code_of(R"({"method": "m", "deadline_ms": 1e300})", 1 << 16),
+            "invalid_request");
   EXPECT_EQ(code_of(std::string(100, ' '), 64), "oversized_request");
+}
+
+TEST(Protocol, ExactIntAcceptsOnlyIntegralInt64Numbers) {
+  EXPECT_EQ(exact_int(Json::parse("7")), 7);
+  EXPECT_EQ(exact_int(Json::parse("-3")), -3);
+  EXPECT_EQ(exact_int(Json::parse("2.0")), 2);  // integral value
+  EXPECT_EQ(exact_int(Json::parse("-9223372036854775808")), INT64_MIN);
+  EXPECT_FALSE(exact_int(Json::parse("2.5")));
+  EXPECT_FALSE(exact_int(Json::parse("1e300")));
+  EXPECT_FALSE(exact_int(Json::parse("-1e300")));
+  EXPECT_FALSE(exact_int(Json::parse("9.3e18")));
+  EXPECT_FALSE(exact_int(Json::parse("\"7\"")));
+  EXPECT_FALSE(exact_int(Json::parse("true")));
 }
 
 TEST(Protocol, OnlyOverloadedIsTransient) {
@@ -242,6 +259,43 @@ TEST(DesignCache, ByteBudgetEvictsButKeepsTheNewestEntry) {
   const DesignCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_EQ(stats.evictions, 1);
+}
+
+TEST(DesignCache, KeysOnEveryCompileOption) {
+  // Each option that can change the compiled design (or, for verify, how
+  // far it was checked) forks the key; the deadline does not.
+  const netlist::Design design = rtl::build_verilog_initial();
+  const tools::CompileOptions base;
+  const std::string key = DesignCache::fingerprint(design, base);
+  std::vector<tools::CompileOptions> variants(7, base);
+  variants[0].optimize = false;
+  variants[1].strength_reduce = true;
+  variants[2].narrow = false;
+  variants[3].verify = true;
+  variants[4].verify_cycles = 7;
+  variants[5].verify_seed = 1;
+  variants[6].max_iterations = 3;
+  for (const tools::CompileOptions& v : variants)
+    EXPECT_NE(DesignCache::fingerprint(design, v), key)
+        << tools::canonical_options(v);
+  tools::CompileOptions timed = base;
+  timed.deadline = Deadline::shared_after_ms(1000);
+  EXPECT_EQ(DesignCache::fingerprint(design, timed), key);
+}
+
+TEST(LruMap, EvictsLeastRecentlyUsedAndKeepsTheFirstInsert) {
+  LruMap<int> lru;
+  EXPECT_TRUE(lru.insert("a", 1));
+  EXPECT_TRUE(lru.insert("b", 2));
+  EXPECT_FALSE(lru.insert("a", 9));  // the earlier entry wins
+  EXPECT_EQ(*lru.find("a"), 1);      // and is now most recently used
+  EXPECT_EQ(lru.oldest(), 2);
+  lru.pop_oldest();
+  EXPECT_EQ(lru.find("b"), nullptr);
+  EXPECT_EQ(lru.size(), 1u);
+  for (int i = 0; i < 100; ++i) lru.insert(std::to_string(i), i);
+  EXPECT_EQ(lru.oldest(), 1);  // "a", untouched since
+  EXPECT_EQ(*lru.find("42"), 42);
 }
 
 // ------------------------------------------------------------------ Server
@@ -560,32 +614,55 @@ TEST(Server, SurvivesPoisonRequestsAndStaysBitwiseCorrect) {
     throw std::runtime_error("builder exploded");
   });
 
-  const std::vector<std::string> poison = {
-      "",                                     // empty: invalid JSON
-      "{",                                    // truncated
-      "null",                                 // non-object root
-      R"({"method": 3})",                     // ill-typed method
-      R"({"method":"no_such_method"})",       // unknown method
-      R"({"method":"compile"})",              // missing params.design
-      R"({"method":"compile","params":{"design":"no_such"}})",
-      R"({"method":"compile","params":{"design":"bomb"}})",  // throws
-      R"({"method":"compile","params":{"design":"verilog_opt2",)"
-      R"("optimize":"yes"}})",                // ill-typed option
-      R"({"method":"evaluate","params":{"design":"verilog_opt2",)"
-      R"("matrices":-3}})",                   // out-of-range option
-      R"({"method":"campaign","params":{"design":"verilog_opt2",)"
-      R"("kind":"gamma_ray"}})",              // unknown fault kind
-      R"({"method":"dse","params":{"flow":"no_such_flow"}})",
-      R"({"method":"ping","deadline_ms":-1})",  // invalid deadline
-      R"({"method":"ping","params":[1,2]})",    // ill-typed params
-      std::string(1 << 17, 'x'),                // oversized
+  // Each hostile request and the code it must get: only the throwing
+  // builder is our bug.
+  const std::vector<std::pair<std::string, std::string>> poison = {
+      {"", "invalid_request"},       // empty: invalid JSON
+      {"{", "invalid_request"},      // truncated
+      {"null", "invalid_request"},   // non-object root
+      {R"({"method": 3})", "invalid_request"},  // ill-typed method
+      {R"({"method":"no_such_method"})", "unknown_method"},
+      {R"({"method":"compile"})", "invalid_request"},  // no params.design
+      {R"({"method":"compile","params":{"design":"no_such"}})",
+       "invalid_request"},
+      {R"({"method":"compile","params":{"design":"bomb"}})",
+       "internal_error"},  // throws
+      {R"({"method":"compile","params":{"design":"verilog_opt2",)"
+       R"("optimize":"yes"}})",
+       "invalid_request"},  // ill-typed option
+      {R"({"method":"evaluate","params":{"design":"verilog_opt2",)"
+       R"("matrices":-3}})",
+       "invalid_request"},  // out-of-range option
+      {R"({"method":"campaign","params":{"design":"verilog_opt2",)"
+       R"("kind":"gamma_ray"}})",
+       "invalid_request"},  // unknown fault kind
+      {R"({"method":"dse","params":{"flow":"no_such_flow"}})",
+       "invalid_request"},
+      {R"({"method":"ping","deadline_ms":-1})", "invalid_request"},
+      {R"({"method":"ping","params":[1,2]})", "invalid_request"},
+      {std::string(1 << 17, 'x'), "oversized_request"},
+      // Non-integral and out-of-int64 numbers are rejected, never
+      // truncated or cast.
+      {R"({"method":"compile","params":{"design":"idct.rtl_kernel",)"
+       R"("stages":2.5}})",
+       "invalid_request"},
+      {R"({"method":"ping","deadline_ms":2.5})", "invalid_request"},
+      {R"({"method":"compile","params":{"design":"idct.rtl_kernel",)"
+       R"("stages":1e300}})",
+       "invalid_request"},
+      // The client's own cycle bound is too small: its mistake.
+      {R"({"method":"evaluate","params":{"design":"idct.bambu",)"
+       R"("max_cycles":1}})",
+       "invalid_request"},
   };
   int failures = 0;
   for (int i = 0; i < 100; ++i) {
-    const Json response =
-        Json::parse(server.handle(poison[static_cast<size_t>(i) %
-                                         poison.size()]));
+    const auto& [line, code] = poison[static_cast<size_t>(i) % poison.size()];
+    const Json response = Json::parse(server.handle(line));
     EXPECT_FALSE(response.find("ok")->as_bool()) << response.dump();
+    if (const Json* error = response.find("error")) {
+      EXPECT_EQ(error->find("code")->as_string(), code) << response.dump();
+    }
     ++failures;
   }
   EXPECT_EQ(failures, 100);
@@ -606,7 +683,10 @@ TEST(Server, SurvivesPoisonRequestsAndStaysBitwiseCorrect) {
   // Health metrics survived the storm and are visible.
   const Json stats = call_ok(server, R"({"method":"stats"})");
   EXPECT_GE(stats.find("queue")->find("accepted")->as_int(), 1);
-  EXPECT_EQ(stats.find("cache")->find("misses")->as_int(), 1);
+  // Two compiles ran: idct.bambu, for the max_cycles poison's evaluation,
+  // and the clean verilog_opt2 request. Every other poison was rejected
+  // before any compile.
+  EXPECT_EQ(stats.find("cache")->find("misses")->as_int(), 2);
 }
 
 TEST(Server, EvaluateAndCampaignShareTheCompileCache) {
@@ -624,6 +704,183 @@ TEST(Server, EvaluateAndCampaignShareTheCompileCache) {
   EXPECT_TRUE(campaign.find("cached")->as_bool());  // evaluate warmed it
   EXPECT_EQ(campaign.find("sites")->as_int(), 4);
   EXPECT_TRUE(campaign.find("reference_functional")->as_bool());
+}
+
+TEST(Server, NarrowSettingsAreDistinctCompiles) {
+  Server server(small_server());
+  for (const bool narrow : {true, false}) {
+    const Json result = call_ok(
+        server, std::string(R"({"method":"compile","params":{)"
+                            R"("design":"verilog_opt2","narrow":)") +
+                    (narrow ? "true" : "false") + "}}");
+    tools::CompileOptions options;
+    options.narrow = narrow;
+    const std::string direct = content_hash(netlist::dump_text(
+        tools::compile(rtl::build_verilog_opt2(), options).design));
+    EXPECT_EQ(result.find("content_hash")->as_string(), direct)
+        << "narrow=" << narrow;
+    EXPECT_FALSE(result.find("cached")->as_bool()) << "narrow=" << narrow;
+  }
+  EXPECT_EQ(server.cache_stats().misses, 2);
+  EXPECT_EQ(server.cache_stats().entries, 2u);
+}
+
+TEST(Server, ReregisteringADesignChangesTheAnswer) {
+  // The "builder change changes the key" check: the same name, a new
+  // builder, a new answer — never the old builder's memoized compile.
+  Server server(small_server());
+  server.register_design("mine", rtl::build_verilog_initial);
+  const std::string line =
+      R"({"method":"compile","params":{"design":"mine"}})";
+  const Json before = call_ok(server, line);
+  EXPECT_TRUE(call_ok(server, line).find("cached")->as_bool());
+  server.register_design("mine", rtl::build_verilog_opt2);
+  const Json after = call_ok(server, line);
+  EXPECT_FALSE(after.find("cached")->as_bool());
+  EXPECT_NE(after.find("content_hash")->as_string(),
+            before.find("content_hash")->as_string());
+  EXPECT_EQ(after.find("content_hash")->as_string(),
+            content_hash(netlist::dump_text(
+                tools::compile(rtl::build_verilog_opt2()).design)));
+  // Re-registering the first builder is a new generation too, but its
+  // compile is still in the content tier.
+  server.register_design("mine", rtl::build_verilog_initial);
+  const Json again = call_ok(server, line);
+  EXPECT_TRUE(again.find("cached")->as_bool());
+  EXPECT_EQ(again.find("content_hash")->as_string(),
+            before.find("content_hash")->as_string());
+}
+
+TEST(Server, RepeatedEvaluateIsCachedAndIdentical) {
+  Server server(small_server());
+  const std::string line =
+      R"({"method":"evaluate","params":{"design":"verilog_opt1",)"
+      R"("matrices":2}})";
+  const Json first = call_ok(server, line);
+  const Json second = call_ok(server, line);
+  EXPECT_TRUE(second.find("cached")->as_bool());
+  ASSERT_EQ(first.size(), second.size());
+  for (const auto& [key, value] : first.items())
+    if (key != "cached") {
+      EXPECT_EQ(second.find(key)->dump(), value.dump()) << key;
+    }
+  const DesignCache::Stats stats = server.cache_stats();
+  EXPECT_EQ(stats.misses, 1);
+  EXPECT_EQ(stats.hits, 1);
+  EXPECT_EQ(stats.evaluation.hits, 1);
+  EXPECT_EQ(stats.evaluation.entries, 1u);
+  // Another matrices count is another measurement, of the same compile.
+  const Json other = call_ok(
+      server, R"({"method":"evaluate","params":{"design":"verilog_opt1",)"
+              R"("matrices":3}})");
+  EXPECT_TRUE(other.find("cached")->as_bool());
+  EXPECT_EQ(server.cache_stats().evaluation.entries, 2u);
+  EXPECT_EQ(server.cache_stats().request.hits, 1);
+}
+
+TEST(Server, VerifiedCompileIsNeverAnsweredFromAnUnverifiedOne) {
+  Server server(small_server());
+  const Json plain = call_ok(
+      server, R"({"method":"compile","params":{"design":"verilog_opt1"}})");
+  const std::string verified_line =
+      R"({"method":"compile","params":{"design":"verilog_opt1",)"
+      R"("verify":true}})";
+  const Json verified = call_ok(server, verified_line);
+  EXPECT_FALSE(verified.find("cached")->as_bool());  // the verifier ran
+  EXPECT_NE(verified.find("key")->as_string(), plain.find("key")->as_string());
+  // Verification checks the passes; it never changes their output.
+  EXPECT_EQ(verified.find("content_hash")->as_string(),
+            plain.find("content_hash")->as_string());
+  EXPECT_TRUE(call_ok(server, verified_line).find("cached")->as_bool());
+  EXPECT_EQ(server.cache_stats().misses, 2);
+}
+
+TEST(Server, MemoTiersReportInStatsAndGauges) {
+  obs::set_enabled(true);
+  Server server(small_server());
+  const std::string line =
+      R"({"method":"compile","params":{"design":"verilog_opt1"}})";
+  call_ok(server, line);
+  call_ok(server, line);
+  const Json stats = call_ok(server, R"({"method":"stats"})");
+  const Json& cache = *stats.find("cache");
+  EXPECT_EQ(cache.find("hits")->as_int(), 1);
+  EXPECT_EQ(cache.find("request")->find("entries")->as_int(), 1);
+  EXPECT_EQ(cache.find("request")->find("hits")->as_int(), 1);
+  EXPECT_EQ(cache.find("evaluation")->find("entries")->as_int(), 0);
+  EXPECT_EQ(obs::registry().gauge("svc.cache.request.hits")->value(), 1.0);
+  EXPECT_EQ(obs::registry().gauge("svc.cache.request.entries")->value(), 1.0);
+  obs::set_enabled(false);
+  obs::registry().reset();
+}
+
+TEST(Server, RequestTierIsBoundedByItsEntryConstant) {
+  Server server(small_server());
+  const auto adder = [] {
+    netlist::Design d("adder");
+    d.output("s", d.add(d.input("a", 8), d.input("b", 8), 9));
+    return d;
+  };
+  // Every name is its own request key; all share one content entry.
+  const int names = static_cast<int>(DesignCache::kMemoEntries) + 8;
+  for (int i = 0; i < names; ++i) {
+    const std::string name = "adder" + std::to_string(i);
+    server.register_design(name, adder, false);
+    call_ok(server, R"({"method":"compile","params":{"design":")" + name +
+                        "\"}}");
+  }
+  const DesignCache::Stats stats = server.cache_stats();
+  EXPECT_EQ(stats.request.entries, DesignCache::kMemoEntries);
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.misses, 1);
+  // The oldest names were evicted and rebuild; the newest still hit.
+  EXPECT_TRUE(call_ok(server, R"({"method":"compile","params":{"design":")"
+                                  "adder" + std::to_string(names - 1) + "\"}}")
+                  .find("cached")
+                  ->as_bool());
+  EXPECT_EQ(server.cache_stats().request.hits, 1);
+  call_ok(server, R"({"method":"compile","params":{"design":"adder0"}})");
+  EXPECT_EQ(server.cache_stats().request.hits, 1);
+}
+
+// Two submitters race identical compile and evaluate requests through two
+// workers (the tsan job runs this): every answer is ok and all identical
+// requests agree.
+TEST(Server, IdenticalRequestsRaceToOneAnswer) {
+  Server server(small_server(/*workers=*/2, /*queue=*/64));
+  const std::string compile =
+      R"({"method":"compile","params":{"design":"verilog_opt2"}})";
+  const std::string evaluate =
+      R"({"method":"evaluate","params":{"design":"verilog_opt2",)"
+      R"("matrices":1}})";
+  constexpr int kPerSubmitter = 8;
+  std::vector<std::string> answers[2];
+  std::vector<std::thread> submitters;
+  for (int c = 0; c < 2; ++c)
+    submitters.emplace_back([&, c] {
+      std::vector<std::future<std::string>> futures;
+      for (int i = 0; i < kPerSubmitter; ++i)
+        futures.push_back(server.submit(i % 2 ? evaluate : compile));
+      for (auto& f : futures) answers[c].push_back(f.get());
+    });
+  for (std::thread& t : submitters) t.join();
+
+  std::string hash, quality;
+  for (const auto& mine : answers)
+    for (size_t i = 0; i < mine.size(); ++i) {
+      const Json response = Json::parse(mine[i]);
+      ASSERT_TRUE(response.find("ok")->as_bool()) << mine[i];
+      const Json& result = *response.find("result");
+      std::string& want = i % 2 ? quality : hash;
+      const std::string got =
+          i % 2 ? result.find("quality")->dump()
+                : result.find("content_hash")->as_string();
+      if (want.empty()) want = got;
+      EXPECT_EQ(got, want);
+    }
+  const DesignCache::Stats stats = server.cache_stats();
+  EXPECT_EQ(stats.hits + stats.misses, 2 * kPerSubmitter);
+  EXPECT_EQ(stats.entries, 1u);
 }
 
 // ------------------------------------------------------------------ Client
