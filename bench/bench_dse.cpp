@@ -5,10 +5,10 @@
 // workload-registry cell — 200+ configurations over one par::SweepRunner
 // pool.
 //
-// Emits dse.csv (the full scatter, workload column included) and
-// BENCH_dse.json (obs::RunReport) with the per-workload A/P/Q fronts:
-// minimum area, maximum throughput, and best quality with the winning
-// config for each. perfbench pins all 254 points (perfbench/expected/dse.tsv).
+// Prints the per-workload A/P/Q fronts — minimum area, maximum throughput,
+// and best quality with the winning config for each — and writes dse.csv
+// (the full scatter, workload column included). perfbench pins all 254
+// points (perfbench/expected/dse.tsv).
 //
 // Usage: bench_dse [--jobs N]   (default: all cores)
 #include <cstdio>
@@ -21,7 +21,6 @@
 #include "base/check.hpp"
 #include "base/strings.hpp"
 #include "core/report.hpp"
-#include "obs/report.hpp"
 #include "par/pool.hpp"
 #include "tools/flows.hpp"
 
@@ -57,12 +56,6 @@ int main(int argc, char** argv) {
   std::map<std::string, std::vector<hlshc::core::ScatterPoint>> by_workload;
   for (const auto& p : points) by_workload[p.workload].push_back(p);
 
-  hlshc::obs::RunReport report("bench_dse");
-  report.params().set("jobs", hlshc::obs::Json::number(jobs));
-  report.results().set(
-      "configs", hlshc::obs::Json::number(static_cast<int64_t>(points.size())));
-  hlshc::obs::Json workloads = hlshc::obs::Json::array();
-
   std::puts("--- per-workload A/P/Q fronts ---");
   for (const auto& [workload, pts] : by_workload) {
     const hlshc::core::ScatterPoint* min_a = &pts.front();
@@ -82,31 +75,10 @@ int main(int argc, char** argv) {
                 max_p->family.c_str(), max_p->config.c_str());
     std::printf("  Q: %10.1f      (%s %s)\n", best_q->quality(),
                 best_q->family.c_str(), best_q->config.c_str());
-
-    hlshc::obs::Json row = hlshc::obs::Json::object();
-    row.set("workload", hlshc::obs::Json::string(workload))
-        .set("configs",
-             hlshc::obs::Json::number(static_cast<int64_t>(pts.size())))
-        .set("pareto_size",
-             hlshc::obs::Json::number(static_cast<int64_t>(front)))
-        .set("min_area",
-             hlshc::obs::Json::number(static_cast<int64_t>(min_a->area)))
-        .set("min_area_config",
-             hlshc::obs::Json::string(min_a->family + " " + min_a->config))
-        .set("max_mops", hlshc::obs::Json::number(max_p->throughput_mops))
-        .set("max_mops_config",
-             hlshc::obs::Json::string(max_p->family + " " + max_p->config))
-        .set("best_quality", hlshc::obs::Json::number(best_q->quality()))
-        .set("best_quality_config",
-             hlshc::obs::Json::string(best_q->family + " " + best_q->config));
-    workloads.push(std::move(row));
   }
-  report.results().set("workloads", std::move(workloads));
-  report.write_file("BENCH_dse.json");
 
   std::string csv = hlshc::core::scatter_csv(points);
   std::ofstream("dse.csv") << csv;
-  std::puts("\n(scatter written to ./dse.csv, run report to "
-            "./BENCH_dse.json)");
+  std::puts("\n(scatter written to ./dse.csv)");
   return 0;
 }

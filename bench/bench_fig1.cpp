@@ -4,50 +4,27 @@
 // 3 Vivado HLS). Emits the CSV series (for plotting) and a per-family
 // summary. Also writes fig1.csv next to the working directory.
 //
-// The DSE runs twice — serial and over a par::SweepRunner worker pool — to
-// report the parallel speedup; the two point lists are asserted identical
-// before anything is written.
-//
-// Writes BENCH_fig1.json (cwd) through the obs::RunReport schema.
+// The DSE runs once over a par::Pool; the points land in configuration
+// order at any worker count (par_test pins serial == parallel).
 //
 // Usage: bench_fig1 [--jobs N] [--workload NAME|all]
 // (default: all cores, the IDCT DSE). With --workload the scatter instead
 // covers the named workload-registry entry (or every entry) with one point
 // per builder, through the same compile/evaluate path.
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
 
-#include "base/strings.hpp"
 #include "core/report.hpp"
-#include "obs/report.hpp"
 #include "base/check.hpp"
 #include "par/pool.hpp"
 #include "tools/flows.hpp"
 #include "tools/workloads.hpp"
 
-using hlshc::format_fixed;
 
 namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-bool same_points(const std::vector<hlshc::core::ScatterPoint>& a,
-                 const std::vector<hlshc::core::ScatterPoint>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i)
-    if (a[i].family != b[i].family || a[i].config != b[i].config ||
-        a[i].throughput_mops != b[i].throughput_mops ||
-        a[i].area != b[i].area)
-      return false;
-  return true;
-}
 
 int run_workload_mode(const std::string& workload, int jobs) {
   hlshc::tools::WorkloadBenchOptions options;
@@ -103,28 +80,11 @@ int main(int argc, char** argv) {
   std::puts("=== Fig. 1: design space exploration for IDCT ===");
   std::printf("(synthesizing every configuration; this sweeps 200+ circuits "
               "— every flow with narrowing on and off, the scheduler grid, "
-              "and the workload cells — twice: serial, then %d jobs)\n\n",
+              "and the workload cells — over %d jobs)\n\n",
               jobs);
 
-  auto t0 = std::chrono::steady_clock::now();
-  auto serial_points = hlshc::tools::full_dse(1);
-  double serial_sec = seconds_since(t0);
-
-  t0 = std::chrono::steady_clock::now();
-  auto points = hlshc::tools::full_dse(jobs);
-  double parallel_sec = seconds_since(t0);
-
-  if (!same_points(serial_points, points)) {
-    std::fprintf(stderr,
-                 "FATAL: parallel DSE (jobs=%d) diverged from serial\n", jobs);
-    return 1;
-  }
-  double speedup = parallel_sec > 0 ? serial_sec / parallel_sec : 1.0;
-  std::printf("circuits evaluated: %zu\n", points.size());
-  std::printf("serial %ss  parallel(jobs=%d) %ss  speedup %sx\n\n",
-              format_fixed(serial_sec, 2).c_str(), jobs,
-              format_fixed(parallel_sec, 2).c_str(),
-              format_fixed(speedup, 2).c_str());
+  const auto points = hlshc::tools::full_dse(jobs);
+  std::printf("circuits evaluated: %zu\n\n", points.size());
   std::puts(hlshc::core::scatter_summary(points).c_str());
 
   std::puts("--- Pareto frontier (throughput up, area down) ---");
@@ -133,27 +93,9 @@ int main(int argc, char** argv) {
                 p.config.c_str(), p.throughput_mops, p.area);
   std::puts("");
 
-  hlshc::obs::RunReport report("bench_fig1");
-  report.params().set("jobs", hlshc::obs::Json::number(jobs));
-  hlshc::obs::Json families = hlshc::obs::Json::object();
-  for (const auto& p : points) {
-    const hlshc::obs::Json* n = families.find(p.family);
-    families.set(p.family,
-                 hlshc::obs::Json::number((n ? n->as_int() : 0) + 1));
-  }
-  report.results()
-      .set("circuits",
-           hlshc::obs::Json::number(static_cast<int64_t>(points.size())))
-      .set("families", std::move(families))
-      .set("serial_sec", hlshc::obs::Json::number(serial_sec))
-      .set("parallel_sec", hlshc::obs::Json::number(parallel_sec))
-      .set("speedup", hlshc::obs::Json::number(speedup));
-  report.write_file("BENCH_fig1.json");
-
   std::string csv = hlshc::core::scatter_csv(points);
   std::ofstream("fig1.csv") << csv;
-  std::puts("--- scatter series (also written to ./fig1.csv; run report in "
-            "./BENCH_fig1.json) ---");
+  std::puts("--- scatter series (also written to ./fig1.csv) ---");
   std::fputs(csv.c_str(), stdout);
   return 0;
 }

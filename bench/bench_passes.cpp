@@ -8,11 +8,8 @@
 // deltas are reported per point. The pipeline is behavior-preserving by
 // construction (see sim::make_pass_verifier), so only A and Q may move.
 //
-// The 24 evaluations run over a par::SweepRunner twice — jobs=1 and then
-// the full worker pool — to record the pipeline's parallel wall time; both
-// sweeps must produce identical results.
-//
-// Writes BENCH_passes.json (cwd) through the obs::RunReport schema.
+// The 24 evaluations run once over a par::SweepRunner; results land in
+// point order at any worker count.
 //
 // Usage: bench_passes [--jobs N]   (default: all cores)
 #include <cstdio>
@@ -27,7 +24,6 @@
 #include "chisel/designs.hpp"
 #include "core/evaluate.hpp"
 #include "hls/tool.hpp"
-#include "obs/report.hpp"
 #include "base/check.hpp"
 #include "par/pool.hpp"
 #include "par/sweep.hpp"
@@ -75,22 +71,10 @@ struct PointResult {
   hlshc::netlist::PassStats stats;  // the pipeline-on breakdown
 };
 
-bool same_results(const std::vector<PointResult>& a,
-                  const std::vector<PointResult>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i)
-    if (a[i].nodes_on != b[i].nodes_on || a[i].off.area != b[i].off.area ||
-        a[i].on.area != b[i].on.area ||
-        a[i].off.quality() != b[i].off.quality() ||
-        a[i].on.quality() != b[i].on.quality())
-      return false;
-  return true;
-}
-
 std::vector<PointResult> run_sweep(const std::vector<DesignPoint>& pts,
-                                   int jobs, hlshc::par::SweepRunner& runner) {
+                                   int jobs) {
   using namespace hlshc;
-  (void)jobs;
+  par::SweepRunner runner(jobs);
   core::EvaluateOptions eo;
   eo.matrices = 3;  // ablation compares synth-level numbers, not timing noise
   // 2*i   = point i with the pipeline off,
@@ -137,15 +121,7 @@ int main(int argc, char** argv) {
   std::puts("=== Compile-pipeline ablation: pipeline off vs on ===\n");
   std::vector<DesignPoint> pts = design_points();
 
-  hlshc::par::SweepRunner serial(1);
-  std::vector<PointResult> base = run_sweep(pts, 1, serial);
-  hlshc::par::SweepRunner parallel(jobs);
-  std::vector<PointResult> results = run_sweep(pts, jobs, parallel);
-  if (!same_results(base, results)) {
-    std::fprintf(stderr, "FATAL: parallel ablation (jobs=%d) diverged from "
-                         "serial\n", jobs);
-    return 1;
-  }
+  const std::vector<PointResult> results = run_sweep(pts, jobs);
 
   std::puts("design                  nodes           LUT*            FF*   "
             "        area           Q (P/A)");
@@ -164,69 +140,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Per-pass aggregate across every pipeline-on compile.
-  std::map<std::string, std::pair<int64_t, int64_t>> by_pass;  // changes, ns
+  // Per-pass rewrite counts across every pipeline-on compile.
+  std::map<std::string, int64_t> changes_by_pass;
   for (const PointResult& r : results)
-    for (const auto& run : r.stats.runs) {
-      by_pass[run.pass].first += run.changes;
-      by_pass[run.pass].second += run.wall_ns;
-    }
+    for (const auto& run : r.stats.runs)
+      changes_by_pass[run.pass] += run.changes;
   std::puts("\n--- per-pass aggregate (all 12 pipeline-on compiles) ---");
-  for (const auto& [pass, agg] : by_pass)
-    std::printf("  %-18s changes=%6lld  wall=%8s us\n", pass.c_str(),
-                static_cast<long long>(agg.first),
-                format_fixed(static_cast<double>(agg.second) / 1e3, 1).c_str());
-
-  double serial_ms = static_cast<double>(serial.wall_ns()) / 1e6;
-  double parallel_ms = static_cast<double>(parallel.wall_ns()) / 1e6;
-  std::printf("\npipeline sweep wall: jobs=1 %s ms, jobs=%d %s ms "
-              "(speedup %sx)\n",
-              format_fixed(serial_ms, 1).c_str(), parallel.jobs(),
-              format_fixed(parallel_ms, 1).c_str(),
-              format_fixed(parallel_ms > 0 ? serial_ms / parallel_ms : 1.0, 2)
-                  .c_str());
-
-  hlshc::obs::RunReport report("bench_passes");
-  report.params()
-      .set("jobs", hlshc::obs::Json::number(jobs))
-      .set("matrices", hlshc::obs::Json::number(3))
-      .set("points",
-           hlshc::obs::Json::number(static_cast<int64_t>(results.size())));
-  hlshc::obs::Json points = hlshc::obs::Json::array();
-  for (const PointResult& r : results) {
-    hlshc::obs::Json p = hlshc::obs::Json::object();
-    p.set("design", hlshc::obs::Json::string(r.name))
-        .set("nodes_off",
-             hlshc::obs::Json::number(static_cast<int64_t>(r.nodes_off)))
-        .set("nodes_on",
-             hlshc::obs::Json::number(static_cast<int64_t>(r.nodes_on)))
-        .set("lut_off", hlshc::obs::Json::number(r.off.n_lut_star))
-        .set("lut_on", hlshc::obs::Json::number(r.on.n_lut_star))
-        .set("ff_off", hlshc::obs::Json::number(r.off.n_ff_star))
-        .set("ff_on", hlshc::obs::Json::number(r.on.n_ff_star))
-        .set("area_off", hlshc::obs::Json::number(r.off.area))
-        .set("area_on", hlshc::obs::Json::number(r.on.area))
-        .set("quality_off", hlshc::obs::Json::number(r.off.quality()))
-        .set("quality_on", hlshc::obs::Json::number(r.on.quality()))
-        .set("pipeline_iterations",
-             hlshc::obs::Json::number(r.stats.iterations));
-    points.push(std::move(p));
-  }
-  hlshc::obs::Json passes = hlshc::obs::Json::object();
-  for (const auto& [pass, agg] : by_pass) {
-    hlshc::obs::Json p = hlshc::obs::Json::object();
-    p.set("changes", hlshc::obs::Json::number(agg.first))
-        .set("wall_ns", hlshc::obs::Json::number(agg.second));
-    passes.set(pass, std::move(p));
-  }
-  report.results()
-      .set("points", std::move(points))
-      .set("per_pass", std::move(passes))
-      .set("serial_wall_ms", hlshc::obs::Json::number(serial_ms))
-      .set("parallel_wall_ms", hlshc::obs::Json::number(parallel_ms));
-  parallel.annotate(report);
-  report.capture_metrics();
-  report.write_file("BENCH_passes.json");
-  std::puts("\nwrote BENCH_passes.json");
+  for (const auto& [pass, changes] : changes_by_pass)
+    std::printf("  %-18s changes=%6lld\n", pass.c_str(),
+                static_cast<long long>(changes));
   return 0;
 }

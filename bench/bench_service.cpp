@@ -11,8 +11,6 @@
 // the same offered load; the bench reports what admission depth buys in
 // shed rate and costs in p99 latency.
 //
-// Writes BENCH_service.json (cwd) through the obs::RunReport schema.
-//
 // Usage: bench_service [--jobs N] [--requests N] [--clients N]
 //                      [--trace FILE] [--event-log FILE]
 //   --jobs      worker threads per server round (default: all cores)
@@ -33,7 +31,6 @@
 #include "base/strings.hpp"
 #include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "par/pool.hpp"
 #include "svc/server.hpp"
@@ -193,13 +190,6 @@ int main(int argc, char** argv) {
   std::puts(
       "queue   req/s      ok    shed  shed%   hit%   p50(ms)   p99(ms)");
 
-  obs::RunReport report("bench_service");
-  report.params()
-      .set("jobs", obs::Json::number(jobs))
-      .set("requests", obs::Json::number(requests))
-      .set("clients", obs::Json::number(clients));
-  obs::Json rounds = obs::Json::array();
-
   for (const int queue_capacity : {1, 8, 64}) {
     const RoundResult r = run_round(queue_capacity, jobs, requests, clients);
     std::printf("%5d  %6s  %6lld  %6lld  %5s  %5s  %8s  %8s\n",
@@ -210,33 +200,12 @@ int main(int argc, char** argv) {
                 format_fixed(100.0 * r.hit_rate(), 1).c_str(),
                 format_fixed(static_cast<double>(r.p50_ns) / 1e6, 2).c_str(),
                 format_fixed(static_cast<double>(r.p99_ns) / 1e6, 2).c_str());
-
-    obs::Json round = obs::Json::object();
-    round.set("queue_capacity", obs::Json::number(r.queue_capacity))
-        .set("submitted", obs::Json::number(r.submitted))
-        .set("ok", obs::Json::number(r.ok))
-        .set("shed", obs::Json::number(r.shed))
-        .set("shed_rate", obs::Json::number(r.shed_rate()))
-        .set("cache_hits", obs::Json::number(r.cache_hits))
-        .set("cache_misses", obs::Json::number(r.cache_misses))
-        .set("cache_hit_rate", obs::Json::number(r.hit_rate()))
-        .set("wall_sec", obs::Json::number(r.wall_sec))
-        .set("req_per_sec", obs::Json::number(r.req_per_sec()))
-        .set("p50_ms",
-             obs::Json::number(static_cast<double>(r.p50_ns) / 1e6))
-        .set("p99_ms",
-             obs::Json::number(static_cast<double>(r.p99_ns) / 1e6));
-    rounds.push(std::move(round));
   }
-
-  report.results().set("rounds", std::move(rounds));
-  report.write_file("BENCH_service.json");
-  std::puts("\n(run report in ./BENCH_service.json)");
 
   if (!trace_path.empty()) {
     obs::tracer().stop();
     obs::tracer().write_file(trace_path);
-    std::printf("wrote %s (%zu trace events)\n", trace_path.c_str(),
+    std::printf("\nwrote %s (%zu trace events)\n", trace_path.c_str(),
                 obs::tracer().event_count());
   }
   if (!event_log_path.empty()) obs::event_log().close_sink();

@@ -8,10 +8,10 @@
 // column order at any worker count; --verbose prints the per-pass
 // compile-pipeline breakdown per design). With --workload the bench sweeps
 // the named workload-registry entry (or every entry) across all of its
-// builders instead of the IDCT-only Table II; "all" additionally writes
-// BENCH_workloads.json. --wide disables the width-narrowing pass — the
-// pre-narrowing pipeline — so the emitted table2.csv can be diffed bitwise
-// against one from a build that predates the pass (the refactor oracle).
+// builders instead of the IDCT-only Table II. --wide disables the
+// width-narrowing pass — the pre-narrowing pipeline — so the emitted
+// table2.csv can be diffed bitwise against one from a build that predates
+// the pass (the refactor oracle).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -37,11 +37,6 @@ int run_workload_mode(const std::string& workload, int jobs) {
   const std::vector<hlshc::tools::WorkloadFlowResult> rows =
       hlshc::tools::run_workload_matrix(options);
   std::puts(hlshc::tools::render_workload_matrix(rows).c_str());
-  if (workload == "all") {
-    hlshc::tools::make_workload_report(rows, options)
-        .write_file("BENCH_workloads.json");
-    std::puts("(machine-readable copy written to ./BENCH_workloads.json)");
-  }
   return 0;
 }
 

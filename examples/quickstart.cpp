@@ -1,6 +1,6 @@
 // Quickstart: build an IDCT design, push a matrix through its AXI-Stream
-// interface cycle by cycle, and run the paper's full measurement procedure
-// on it.
+// interface cycle by cycle, rank its activity hotspots, and run the paper's
+// full measurement procedure on it.
 //
 //   $ ./quickstart
 #include <cstdio>
@@ -8,6 +8,7 @@
 #include "axis/testbench.hpp"
 #include "base/strings.hpp"
 #include "core/evaluate.hpp"
+#include "core/report.hpp"
 #include "sim/simulator.hpp"
 #include "tools/compile.hpp"
 #include "workload/workload.hpp"
@@ -33,7 +34,9 @@ int main() {
 
   // 3. Simulate: the stream testbench feeds the matrix row by row and
   //    collects the result, checking AXI-Stream protocol rules as it goes.
+  //    Activity profiling counts every node's toggled bits on the way.
   sim::Simulator sim(design);
+  sim.set_activity_enabled(true);
   axis::StreamTestbench tb(sim);
   auto out = tb.run({coeffs});
   std::printf("\nIDCT result (hardware, %d-cycle latency):\n%s",
@@ -44,7 +47,10 @@ int main() {
   std::printf("matches software model: %s\n",
               out[0] == sw ? "yes" : "NO");
 
-  // 5. The paper's measurement procedure: verify, measure T_L/T_P,
+  // 5. Where the switching activity (the dynamic-power proxy) concentrates.
+  std::printf("\n%s", core::hotspot_table(design, sim.activity(), 10).c_str());
+
+  // 6. The paper's measurement procedure: verify, measure T_L/T_P,
   //    synthesize with and without DSPs, compute P and Q.
   core::DesignEvaluation ev = tools::evaluate_design(design, spec);
   std::printf("\nevaluation: fmax=%s MHz, P=%s MOPS, A=%s, Q=%s\n",

@@ -1,6 +1,5 @@
 #include "core/evaluate.hpp"
 
-#include "axis/batch.hpp"
 #include "axis/testbench.hpp"
 #include "base/rng.hpp"
 #include "obs/event_log.hpp"
@@ -21,53 +20,20 @@ DesignEvaluation evaluate_axis_design(const netlist::Design& design,
   // 1+2: simulate, verify, measure. Stimulus, reference model and the
   // accept/reject judgement are the workload's (the same hooks the fault
   // campaigns classify against, so the two paths cannot drift).
-  if (options.lanes > 1) {
-    // N independent stimulus sets, one job per lane: lane l streams the
-    // seed+l set, so one sweep both verifies lane 0's canonical stimulus
-    // (bitwise the scalar trajectory) and widens the functional check.
-    sim::BatchSimulator bsim(design, options.lanes);
-    if (options.deadline) bsim.set_deadline(options.deadline);
-    std::vector<axis::BatchStreamTestbench::Job> jobs(
-        static_cast<size_t>(options.lanes));
-    for (size_t l = 0; l < jobs.size(); ++l)
-      jobs[l].inputs = workload::eval_input_set(
-          spec, options.matrices, options.seed + l, options.realistic_inputs);
-    axis::BatchStreamTestbench tb(bsim);
-    const auto results = tb.run_jobs(jobs, options.max_cycles);
-    ev.functional = true;
-    for (size_t l = 0; l < jobs.size(); ++l) {
-      const axis::BatchLaneResult& r = results[l];
-      // The scalar path propagates SimTimeout out of the testbench; keep
-      // that contract for any wedged lane.
-      if (r.hung)
-        throw sim::SimTimeout("stream testbench wedged on '" + design.name() +
-                                  "' (batched lane " + std::to_string(l) +
-                                  ')',
-                              options.max_cycles);
-      ev.functional =
-          ev.functional && r.clean && r.malformed == 0 &&
-          workload::diff_outputs(
-              spec, workload::reference_outputs(spec, jobs[l].inputs),
-              r.matrices) == 0;
-    }
-    ev.latency_cycles = results[0].timing.latency_cycles;
-    ev.periodicity_cycles = results[0].timing.periodicity_cycles;
-  } else {
-    sim::CompiledSimulator sim(design);
-    if (options.deadline) sim.set_deadline(options.deadline);
-    axis::StreamTestbench tb(sim);
-    std::vector<workload::Frame> ins = workload::eval_input_set(
-        spec, options.matrices, options.seed, options.realistic_inputs);
-    auto outs = tb.run(ins, options.max_cycles);
-    // A frame of the wrong length is a functional failure of the design,
-    // reported as such rather than thrown.
-    ev.functional =
-        tb.monitor().clean() && tb.sink().malformed_frames() == 0 &&
-        workload::diff_outputs(
-            spec, workload::reference_outputs(spec, ins), outs) == 0;
-    ev.latency_cycles = tb.timing().latency_cycles;
-    ev.periodicity_cycles = tb.timing().periodicity_cycles;
-  }
+  sim::CompiledSimulator sim(design);
+  if (options.deadline) sim.set_deadline(options.deadline);
+  axis::StreamTestbench tb(sim);
+  std::vector<workload::Frame> ins = workload::eval_input_set(
+      spec, options.matrices, options.seed, options.realistic_inputs);
+  auto outs = tb.run(ins, options.max_cycles);
+  // A frame of the wrong length is a functional failure of the design,
+  // reported as such rather than thrown.
+  ev.functional =
+      tb.monitor().clean() && tb.sink().malformed_frames() == 0 &&
+      workload::diff_outputs(
+          spec, workload::reference_outputs(spec, ins), outs) == 0;
+  ev.latency_cycles = tb.timing().latency_cycles;
+  ev.periodicity_cycles = tb.timing().periodicity_cycles;
 
   // 3: synthesize with and without DSP mapping.
   synth::NormalizedSynth ns =

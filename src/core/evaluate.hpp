@@ -49,14 +49,6 @@ struct EvaluateOptions {
   bool realistic_inputs = true;  ///< fDCT-derived coefficients (see tests)
   uint64_t seed = 2026;
   uint64_t max_cycles = 500000;
-  /// Stimulus lanes for the functional check. 1 (the default) runs the
-  /// single-stimulus testbench on the compiled engine. N > 1 runs N
-  /// independent stimulus sets — seed, seed+1, ..., seed+N-1 — as one job
-  /// per lane of a sim::BatchSimulator sweep; `functional` then requires
-  /// every lane bit-exact, well-framed and protocol-clean, while the
-  /// reported T_L/T_P come from lane 0, whose trajectory (same seed, same
-  /// per-cycle protocol) is bitwise identical to the scalar run.
-  int lanes = 1;
   synth::SynthOptions synth;
   /// Per-request wall budget (synthesis service): armed on the measurement
   /// engine so a runaway simulation throws DeadlineExceeded mid-run.

@@ -2,15 +2,14 @@
 //
 // One value type covers everything the instrumentation layer emits and
 // consumes: the metrics-registry export, Chrome trace_event files, and the
-// unified RunReport schema the bench drivers write. Two properties matter
-// and are guaranteed here:
+// service's JSON-lines protocol. Two properties matter and are guaranteed
+// here:
 //
-//   * object keys keep **insertion order** on dump(), so a report written
-//     through the same code path serializes byte-identically run to run
-//     (stable key order makes BENCH_*.json diffs meaningful across PRs);
+//   * object keys keep **insertion order** on dump(), so a document written
+//     through the same code path serializes byte-identically run to run;
 //   * parse() is a full round-trip partner for dump(): tests parse every
-//     trace and report back and assert on structure, so a malformed emitter
-//     cannot ship silently.
+//     trace and response back and assert on structure, so a malformed
+//     emitter cannot ship silently.
 //
 // Numbers remember whether they were integers, so counters print as "42",
 // not "42.000000". This is a deliberately small JSON — no comments, no

@@ -83,8 +83,8 @@ class Timer {
 
 /// Latency distribution: a lock-free log-linear histogram (the HdrHistogram
 /// scheme). A Timer gives totals and counts; the service layer also needs
-/// tail percentiles (p50 / p99 request latency for RunReports and the
-/// overload bench), which a total can't recover. Values below 16 get one
+/// tail percentiles (p50 / p99 request latency in the registry export and
+/// the overload bench), which a total can't recover. Values below 16 get one
 /// bucket each; every power of two above that is split into kSubBuckets
 /// equal sub-buckets, so a bucket's width is at most 1/16 of its lower
 /// bound and a reported percentile is at most 6.25% above the true sample.

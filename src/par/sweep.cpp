@@ -5,22 +5,10 @@
 namespace hlshc::par {
 
 void SweepRunner::record(const std::string& name, int64_t n, int64_t ns) {
-  ++sweeps_;
-  points_ += n;
-  wall_ns_ += ns;
   if (obs::enabled()) {
     obs::registry().counter("par.sweep." + name + ".points")->add(n);
     obs::registry().timer("par.sweep." + name + ".wall_ns")->record_ns(ns);
   }
-}
-
-void SweepRunner::annotate(obs::RunReport& report) const {
-  obs::Json block = obs::Json::object();
-  block.set("jobs", obs::Json::number(static_cast<int64_t>(jobs())))
-      .set("sweeps", obs::Json::number(sweeps_))
-      .set("points", obs::Json::number(points_))
-      .set("wall_ms", obs::Json::number(static_cast<double>(wall_ns_) / 1e6));
-  report.results().set("parallel", std::move(block));
 }
 
 }  // namespace hlshc::par

@@ -8,10 +8,8 @@
 // so a parallel sweep emits byte-identical tables/CSV to the serial one —
 // only the wall clock changes.
 //
-// The runner also keeps sweep-level accounting (sweeps run, points
-// evaluated, wall time) and can stamp it into an obs::RunReport's results
-// under a "parallel" block, which is how the benches record serial-vs-
-// parallel speedups in BENCH_*.json.
+// When metrics are on, each sweep adds its points and wall time to the
+// registry as par.sweep.<name>.points and par.sweep.<name>.wall_ns.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +18,6 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "par/pool.hpp"
 
@@ -46,21 +43,10 @@ class SweepRunner {
     return out;
   }
 
-  int64_t sweeps() const { return sweeps_; }
-  int64_t points() const { return points_; }
-  int64_t wall_ns() const { return wall_ns_; }
-
-  /// Stamp {"jobs", "sweeps", "points", "wall_ms"} into the report's
-  /// results under the key "parallel".
-  void annotate(obs::RunReport& report) const;
-
  private:
-  void record(const std::string& name, int64_t n, int64_t ns);
+  static void record(const std::string& name, int64_t n, int64_t ns);
 
   Pool pool_;
-  int64_t sweeps_ = 0;
-  int64_t points_ = 0;
-  int64_t wall_ns_ = 0;
 };
 
 }  // namespace hlshc::par

@@ -33,7 +33,7 @@ std::string evaluation_key(const std::string& result_hash,
                            const core::EvaluateOptions& options) {
   // Adding a field breaks this binding until the field gets its place in
   // the key (or a reason to stay out of it).
-  const auto& [matrices, realistic_inputs, seed, max_cycles, lanes, synth,
+  const auto& [matrices, realistic_inputs, seed, max_cycles, synth,
                deadline] = options;
   (void)synth;     // the service always measures with the paper's defaults
   (void)deadline;  // a wall budget never changes a completed evaluation
@@ -41,8 +41,7 @@ std::string evaluation_key(const std::string& result_hash,
          std::to_string(matrices) +
          " realistic_inputs=" + std::to_string(realistic_inputs) +
          " seed=" + std::to_string(seed) +
-         " max_cycles=" + std::to_string(max_cycles) +
-         " lanes=" + std::to_string(lanes);
+         " max_cycles=" + std::to_string(max_cycles);
 }
 
 /// Counts and logs one lookup outcome when observability is on.

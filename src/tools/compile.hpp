@@ -4,7 +4,7 @@
 // netlist through tools::compile before anything is measured: the default
 // PassManager pipeline (fold, mux/bool simplify, copy-prop, CSE, DCE —
 // optionally CSD strength reduction) runs to a fixed point, per-pass stats
-// are captured for RunReports and Table II, and an optional verify mode
+// are captured for Table II and the pass ablation, and an optional verify mode
 // differentially simulates every pass against its input. A CI guard script
 // (scripts/check_pipeline_guard.sh) keeps direct synthesize()/optimize()
 // calls from creeping back into flows and benches.

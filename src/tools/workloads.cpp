@@ -91,49 +91,4 @@ std::string render_workload_matrix(
   return t.render();
 }
 
-obs::RunReport make_workload_report(
-    const std::vector<WorkloadFlowResult>& rows,
-    const WorkloadBenchOptions& options) {
-  obs::RunReport report("bench_workloads");
-  report.params()
-      .set("matrices", obs::Json::number(options.matrices))
-      .set("campaign_sites", obs::Json::number(options.campaign_sites))
-      .set("campaign_seed",
-           obs::Json::number(static_cast<int64_t>(options.campaign_seed)))
-      .set("max_inject_cycle",
-           obs::Json::number(static_cast<int64_t>(options.max_inject_cycle)))
-      .set("campaign_matrices", obs::Json::number(options.campaign_matrices))
-      .set("include_slow", obs::Json::boolean(options.include_slow));
-
-  obs::Json workloads = obs::Json::array();
-  for (const std::string& name : workload::Registry::instance().names())
-    workloads.push(obs::Json::string(name));
-  report.params().set("registry", std::move(workloads));
-
-  obs::Json cells = obs::Json::array();
-  for (const WorkloadFlowResult& r : rows) {
-    obs::Json cell = obs::Json::object();
-    cell.set("workload", obs::Json::string(r.workload))
-        .set("builder", obs::Json::string(r.builder))
-        .set("flow", obs::Json::string(r.flow))
-        .set("variant", obs::Json::string(r.variant))
-        .set("functional", obs::Json::boolean(r.eval.functional))
-        .set("latency_cycles", obs::Json::number(r.eval.latency_cycles))
-        .set("periodicity_cycles",
-             obs::Json::number(r.eval.periodicity_cycles))
-        .set("fmax_mhz", obs::Json::number(r.eval.fmax_mhz))
-        .set("throughput_mops", obs::Json::number(r.eval.throughput_mops))
-        .set("area", obs::Json::number(static_cast<int64_t>(r.eval.area)))
-        .set("quality", obs::Json::number(r.eval.quality()))
-        .set("vulnerability", obs::Json::number(r.vulnerability))
-        .set("masked", obs::Json::number(r.campaign.counts.masked))
-        .set("sdc", obs::Json::number(r.campaign.counts.sdc))
-        .set("detected", obs::Json::number(r.campaign.counts.detected))
-        .set("hang", obs::Json::number(r.campaign.counts.hang));
-    cells.push(std::move(cell));
-  }
-  report.results().set("cells", std::move(cells));
-  return report;
-}
-
 }  // namespace hlshc::tools

@@ -5,7 +5,7 @@
 // workload is swept across all of its builders through the one canonical
 // tools::compile path, and each (workload, builder) cell reports the
 // paper's A / P / Q axes plus the fault-campaign vulnerability factor.
-// bench_table2 --workload all drives this and writes BENCH_workloads.json.
+// bench_table2 --workload and bench_fig1 --workload drive it.
 #pragma once
 
 #include <string>
@@ -13,7 +13,6 @@
 
 #include "core/evaluate.hpp"
 #include "fault/campaign.hpp"
-#include "obs/report.hpp"
 #include "tools/compile.hpp"
 #include "workload/workload.hpp"
 
@@ -54,11 +53,5 @@ std::vector<WorkloadFlowResult> run_workload_matrix(
 /// fmax, P, A, Q and the campaign outcome mix.
 std::string render_workload_matrix(
     const std::vector<WorkloadFlowResult>& rows);
-
-/// RunReport ("bench_workloads" schema) with one results entry per cell;
-/// written by bench_table2 --workload all as BENCH_workloads.json.
-obs::RunReport make_workload_report(
-    const std::vector<WorkloadFlowResult>& rows,
-    const WorkloadBenchOptions& options);
 
 }  // namespace hlshc::tools

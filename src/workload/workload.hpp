@@ -102,7 +102,7 @@ struct WorkloadSpec {
 
 /// The process-wide workload table. Iteration order (and names()) is
 /// lexicographic, so every enumeration — list_designs, conformance suites,
-/// BENCH_workloads.json — is stable across runs and platforms.
+/// the workload x flow matrix — is stable across runs and platforms.
 class Registry {
  public:
   /// The singleton with the built-in workloads registered (idct, fdct,

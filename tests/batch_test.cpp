@@ -17,9 +17,7 @@
 //   4. fault campaigns classified at several {lanes, jobs} combinations,
 //      counts AND the per-run log bitwise identical to the interpreter
 //      oracle (tests/oracle.hpp), for every registered workload;
-//   5. core::evaluate_axis_design with lanes > 1 agrees with the scalar
-//      evaluation;
-//   6. concurrent ExecPlan::for_design first use (the TSan target) and the
+//   5. concurrent ExecPlan::for_design first use (the TSan target) and the
 //      batch utilization counters.
 #include <gtest/gtest.h>
 
@@ -29,7 +27,6 @@
 #include <vector>
 
 #include "base/rng.hpp"
-#include "core/evaluate.hpp"
 #include "fault/campaign.hpp"
 #include "fault/model.hpp"
 #include "netlist/exec_plan.hpp"
@@ -411,27 +408,7 @@ TEST(BatchCampaign, EveryRegisteredWorkloadClassifiesIdentically) {
   }
 }
 
-// ---- 5. batched evaluation -------------------------------------------------
-
-TEST(BatchEvaluate, LanedEvaluationAgreesWithScalar) {
-  const Design d = rtl::build_verilog_opt2();
-  const workload::WorkloadSpec& spec =
-      workload::Registry::instance().get("idct");
-  core::EvaluateOptions opts;
-  opts.matrices = 4;
-  const core::DesignEvaluation scalar = core::evaluate_axis_design(d, spec, opts);
-  opts.lanes = 8;
-  const core::DesignEvaluation batched =
-      core::evaluate_axis_design(d, spec, opts);
-  EXPECT_TRUE(scalar.functional);
-  EXPECT_TRUE(batched.functional);
-  // Lane 0 replays the scalar stimulus: measured timing is identical.
-  EXPECT_EQ(batched.latency_cycles, scalar.latency_cycles);
-  EXPECT_EQ(batched.periodicity_cycles, scalar.periodicity_cycles);
-  EXPECT_EQ(batched.throughput_mops, scalar.throughput_mops);
-}
-
-// ---- 6. shared-plan thread safety and utilization counters -----------------
+// ---- 5. shared-plan thread safety and utilization counters -----------------
 
 TEST(BatchInfra, ExecPlanConcurrentFirstUseYieldsOneSharedPlan) {
   // Fresh design each run: the first for_design() call races 8 threads

@@ -1,6 +1,6 @@
 // Tests for the observability layer: the JSON model and parser, the metrics
 // registry, the Chrome-trace tracer (including an end-to-end testbench run
-// parsed back for well-formedness), and the RunReport envelope.
+// parsed back for well-formedness).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +16,6 @@
 #include "obs/event_log.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "rtl/designs.hpp"
 #include "sim/engine.hpp"
@@ -315,47 +314,6 @@ TEST_F(ObsTest, TestbenchRunPublishesAxisAndSimMetrics) {
   EXPECT_EQ(reg.counter("axis.s.violations")->value(), 0);
   EXPECT_GT(reg.timer("sim.eval")->count(), 0);
   EXPECT_GT(reg.timer("sim.commit")->count(), 0);
-}
-
-// ---- RunReport -------------------------------------------------------------
-
-TEST_F(ObsTest, RunReportEnvelopeHasStableKeyOrder) {
-  obs::RunReport report("unit_test_tool");
-  report.params().set("cycles", obs::Json::number(100));
-  report.results().set("speedup", obs::Json::number(3.5));
-  obs::Json j = report.to_json();
-  const auto& items = j.items();
-  ASSERT_EQ(items.size(), 5u);
-  EXPECT_EQ(items[0].first, "schema");
-  EXPECT_EQ(items[1].first, "schema_version");
-  EXPECT_EQ(items[2].first, "tool");
-  EXPECT_EQ(items[3].first, "params");
-  EXPECT_EQ(items[4].first, "results");
-  EXPECT_EQ(j.at("schema").as_string(), "hlshc.run_report");
-  EXPECT_EQ(j.at("schema_version").as_int(), obs::RunReport::kSchemaVersion);
-  EXPECT_EQ(j.at("tool").as_string(), "unit_test_tool");
-  // Two reports built the same way serialize identically.
-  obs::RunReport again("unit_test_tool");
-  again.params().set("cycles", obs::Json::number(100));
-  again.results().set("speedup", obs::Json::number(3.5));
-  EXPECT_EQ(again.to_json().dump(2), j.dump(2));
-}
-
-TEST_F(ObsTest, RunReportCapturesMetricsAndWritesFile) {
-  obs::set_enabled(true);
-  obs::count("report.test", 3);
-  obs::RunReport report("unit_test_tool");
-  report.capture_metrics();
-  obs::Json j = report.to_json();
-  EXPECT_EQ(
-      j.at("metrics").at("counters").at("report.test").as_int(), 3);
-
-  std::string path = ::testing::TempDir() + "obs_report_test.json";
-  report.write_file(path);
-  std::ifstream in(path);
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  EXPECT_EQ(obs::Json::parse(text).at("tool").as_string(), "unit_test_tool");
 }
 
 // ---- Histogram percentile edge cases ---------------------------------------

@@ -2,10 +2,12 @@
 // resolution, full index coverage, inline single-job semantics, exception
 // propagation (and pool reuse afterwards), input-order parallel_map — plus
 // the campaign differential: a 200-site SEU campaign must classify
-// identically at jobs 1, 2 and 8, counts and per-run log alike.
+// identically at jobs 1, 2 and 8, counts and per-run log alike — and DSE
+// sweep points equal bit for bit at jobs 1 and 4.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <mutex>
 #include <numeric>
@@ -16,9 +18,11 @@
 
 #include "fault/campaign.hpp"
 #include "fault/model.hpp"
+#include "obs/metrics.hpp"
 #include "par/pool.hpp"
 #include "par/sweep.hpp"
 #include "rtl/designs.hpp"
+#include "tools/flows.hpp"
 
 namespace hlshc::par {
 namespace {
@@ -245,6 +249,12 @@ TEST(Pool, WorkerIdsStayInRange) {
 }
 
 TEST(SweepRunner, MapCollectsInOrderAndCountsSweeps) {
+  obs::Registry& reg = obs::registry();
+  const int64_t alpha0 = reg.counter("par.sweep.alpha.points")->value();
+  const int64_t beta0 = reg.counter("par.sweep.beta.points")->value();
+  const int64_t walls0 = reg.timer("par.sweep.alpha.wall_ns")->count();
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
   SweepRunner runner(4);
   auto a = runner.map<int>("alpha", 10, [](int64_t i) {
     return static_cast<int>(i) + 1;
@@ -252,11 +262,44 @@ TEST(SweepRunner, MapCollectsInOrderAndCountsSweeps) {
   auto b = runner.map<int>("beta", 5, [](int64_t i) {
     return static_cast<int>(i) * 2;
   });
+  obs::set_enabled(was_enabled);
   EXPECT_EQ(a[9], 10);
   EXPECT_EQ(b[4], 8);
-  EXPECT_EQ(runner.sweeps(), 2);
-  EXPECT_EQ(runner.points(), 15);
-  EXPECT_GT(runner.wall_ns(), 0);
+  EXPECT_EQ(reg.counter("par.sweep.alpha.points")->value(), alpha0 + 10);
+  EXPECT_EQ(reg.counter("par.sweep.beta.points")->value(), beta0 + 5);
+  EXPECT_EQ(reg.timer("par.sweep.alpha.wall_ns")->count(), walls0 + 1);
+}
+
+// Serial == parallel on real sweep tasks: the Verilog and Chisel flows' DSE
+// points through a SweepRunner at jobs 1 and 4, equal bit for bit.
+TEST(SweepRunner, ParallelDsePointsEqualSerialBitwise) {
+  std::vector<tools::SweepTask> tasks;
+  for (const auto& flow : tools::make_flows())
+    if (flow->family() == "verilog" || flow->family() == "chisel")
+      for (tools::SweepTask& t : flow->sweep_tasks())
+        tasks.push_back(std::move(t));
+  ASSERT_EQ(tasks.size(), 11u);
+  auto sweep = [&tasks](int jobs) {
+    SweepRunner runner(jobs);
+    return runner.map<core::ScatterPoint>(
+        "dse_parity", static_cast<int64_t>(tasks.size()),
+        [&tasks](int64_t i) { return tasks[static_cast<size_t>(i)].run(); });
+  };
+  const std::vector<core::ScatterPoint> serial = sweep(1);
+  const std::vector<core::ScatterPoint> parallel = sweep(4);
+  ASSERT_EQ(serial.size(), parallel.size());
+  for (size_t i = 0; i < serial.size(); ++i) {
+    const core::ScatterPoint& s = serial[i];
+    const core::ScatterPoint& p = parallel[i];
+    EXPECT_EQ(s.family, p.family) << i;
+    EXPECT_EQ(s.config, p.config) << i;
+    EXPECT_EQ(s.workload, p.workload) << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(s.throughput_mops),
+              std::bit_cast<uint64_t>(p.throughput_mops))
+        << s.family << ' ' << s.config;
+    EXPECT_EQ(s.area, p.area) << s.family << ' ' << s.config;
+    EXPECT_EQ(s.nodes_saved, p.nodes_saved) << s.family << ' ' << s.config;
+  }
 }
 
 // ---- campaign differential -------------------------------------------------
