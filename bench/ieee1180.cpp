@@ -1,17 +1,20 @@
 // IEEE Std 1180-1990 compliance: the full 10,000-block procedure for every
 // input range and sign, run against the ISO 13818-4 fixed-point IDCT (the
 // algorithm every hardware design in this repository implements). All
-// implementations are IEEE 1180-compliant, as the paper states.
+// implementations are IEEE 1180-compliant, as the paper states. This is the
+// one table that calls the software model directly: it checks the C kernel
+// itself against the standard, not a hardware design.
 #include <cstdio>
 
 #include "base/strings.hpp"
 #include "idct/chenwang.hpp"
 #include "idct/ieee1180.hpp"
+#include "paper.hpp"
 
-using hlshc::format_fixed;
-using namespace hlshc::idct;
+namespace hlshc::paper {
 
-int main() {
+int ieee1180(const Args&) {
+  using namespace idct;
   std::puts("=== IEEE 1180-1990 compliance (10,000 blocks per case) ===\n");
   auto suite = run_compliance_suite(
       [](const Block& in) {
@@ -41,3 +44,5 @@ int main() {
               all ? "IEEE 1180-1990 COMPLIANT" : "NON-COMPLIANT");
   return all ? 0 : 1;
 }
+
+}  // namespace hlshc::paper

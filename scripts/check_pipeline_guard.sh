@@ -86,8 +86,8 @@ fi
 # through the same compare path. Exemptions:
 #   src/idct             - implements the model
 #   src/workload         - wraps it into the registry
-#   bench/bench_ieee1180.cpp - checks the C kernel itself against the
-#                              standard, not a hardware design
+#   bench/ieee1180.cpp   - checks the C kernel itself against the
+#                          standard, not a hardware design
 # Tests may call anything: they pin the model on purpose.
 # (The chenwang constants kW1..kW7 stay fair game: the rtl/chisel/maxj
 # frontends use them to *build* the IDCT's hardware, which is exactly their
@@ -95,7 +95,7 @@ fi
 idct_hits=$(grep -rnE '\bidct::(idct_2d|idct_2d_straight|idct_1d|idct_reference|forward_dct_reference)\b|"idct/reference\.hpp"' \
     src bench examples --include='*.cpp' --include='*.hpp' \
   | grep -vE '^src/(idct|workload)/' \
-  | grep -vE '^bench/bench_ieee1180\.cpp:' \
+  | grep -vE '^bench/ieee1180\.cpp:' \
   || true)
 if [ -n "$idct_hits" ]; then
   echo "ERROR: direct IDCT model reference outside the workload registry:" >&2

@@ -58,7 +58,7 @@ inline constexpr int kMaxJobs = 256;
 /// lane vectors outgrow the cache and batching stops paying).
 inline constexpr int kMaxLanes = 64;
 
-/// Lane count used when neither HLSHC_LANES nor --lanes says otherwise.
+/// Lane count used when HLSHC_LANES does not say otherwise.
 /// Fixed (not hardware-derived) so batched campaign results and bench
 /// parameters are reproducible across hosts. 32 packs four AVX-512 (or
 /// eight AVX2) vectors per instruction — wide enough to amortize dispatch,
@@ -67,7 +67,7 @@ inline constexpr int kMaxLanes = 64;
 inline constexpr int kDefaultLanes = 32;
 
 /// The one validator for user-provided worker counts (the HLSHC_JOBS
-/// environment variable, every bench's --jobs flag, the service daemon's
+/// environment variable, hlshc_paper's --jobs flag, the service daemon's
 /// --jobs flag). Accepts a positive decimal integer, clamps values above
 /// kMaxJobs, and throws hlshc::Error naming `what` on anything else —
 /// "0", "-2", "8cores" and "" are configuration mistakes that should fail
@@ -75,8 +75,8 @@ inline constexpr int kDefaultLanes = 32;
 int parse_jobs(std::string_view text, std::string_view what);
 
 /// Same validation contract for simulation lane counts (the HLSHC_LANES
-/// environment variable, every bench's --lanes flag): positive decimal,
-/// clamped at kMaxLanes, throws hlshc::Error naming `what` otherwise.
+/// environment variable): positive decimal, clamped at kMaxLanes, throws
+/// hlshc::Error naming `what` otherwise.
 int parse_lanes(std::string_view text, std::string_view what);
 
 /// Default worker count: the HLSHC_JOBS environment variable when set

@@ -81,8 +81,8 @@ core::DesignEvaluation evaluate_design(
     const CompileOptions& options = {},
     const core::EvaluateOptions& eval_options = {});
 
-/// Human-readable per-pass breakdown table (bench_table2 --verbose,
-/// bench_passes): one row per pass run with iteration, changes, node counts
+/// Human-readable per-pass breakdown table (hlshc_paper table2 --verbose):
+/// one row per pass run with iteration, changes, node counts
 /// and wall time.
 std::string render_pass_breakdown(const std::string& design_name,
                                   const netlist::PassStats& stats);

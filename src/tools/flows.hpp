@@ -97,9 +97,9 @@ Table2 build_table2(int jobs = 1, const CompileOptions& compile = {});
 /// the same grid with narrowing off (config suffix "+wide"), and every
 /// non-IDCT workload-registry cell — 200+ configurations swept over one
 /// par::SweepRunner pool. `jobs` != 1 evaluates concurrently (0 = all
-/// cores); the point list is identical at any worker count. bench_dse
-/// reports the per-workload A/P/Q fronts; perfbench pins every point in
-/// perfbench/expected/dse.tsv.
+/// cores); the point list is identical at any worker count. hlshc_paper
+/// fig1 reports the scatter and the per-workload A/P/Q fronts; perfbench
+/// pins every point in perfbench/expected/dse.tsv.
 std::vector<core::ScatterPoint> full_dse(int jobs = 1);
 
 /// Just the classic narrowing-on flow sweeps (the paper's Fig. 1 set plus

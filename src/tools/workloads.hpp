@@ -5,7 +5,7 @@
 // workload is swept across all of its builders through the one canonical
 // tools::compile path, and each (workload, builder) cell reports the
 // paper's A / P / Q axes plus the fault-campaign vulnerability factor.
-// bench_table2 --workload and bench_fig1 --workload drive it.
+// hlshc_paper workloads drives it.
 #pragma once
 
 #include <string>

@@ -459,9 +459,9 @@ TEST(BatchInfra, UtilizationCountersTrackSweepsAndLanes) {
   EXPECT_GE(obs::registry().counter("fault.lanes_masked")->value(), masked0);
 }
 
-// The ExecPlan shape of the IDCT family bench_sim_throughput times: the
-// instruction count and level depth of each builder's raw netlist are
-// deterministic, so a change here is a lowering or frontend change.
+// The ExecPlan shape of the IDCT family: the instruction count and level
+// depth of each builder's raw netlist are deterministic, so a change here
+// is a lowering or frontend change.
 TEST(BatchInfra, IdctFamilyExecPlanShapeIsPinned) {
   struct Shape {
     const char* builder;

@@ -425,7 +425,7 @@ TEST(Resilience, EvaluateJoinsCampaignWithCostModel) {
   EXPECT_NE(table.find("VF"), std::string::npos);
 }
 
-// The seeded SEU campaign bench_fault_campaign reports: 150 sites per
+// The seeded SEU campaign `hlshc_paper fault` reports: 150 sites per
 // design, sample seed 2026, injections before cycle 60, over the compiled
 // Verilog IDCT progression and its TMR-hardened opt2. The outcome mix and
 // the A/P/Q axes are deterministic, so any change is a functional change;

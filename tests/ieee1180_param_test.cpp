@@ -1,7 +1,7 @@
 // Parameterized IEEE 1180-1990 sweeps: one test instance per (range, sign)
 // case of the standard, on the software model (hardware equivalence is
 // covered by the integration suite; the full 10,000-block procedure by
-// bench_ieee1180 and examples/conformance).
+// `hlshc_paper ieee1180` and examples/conformance).
 #include <gtest/gtest.h>
 
 #include "idct/chenwang.hpp"

@@ -72,7 +72,9 @@ TEST(MaxjDsl, OffsetDelaysStream) {
   for (int t = 0; t < 10; ++t) {
     sim.set_input("a", t);
     sim.eval();
-    if (t >= 3) EXPECT_EQ(sim.output_i64("o"), t - 3);
+    if (t >= 3) {
+      EXPECT_EQ(sim.output_i64("o"), t - 3);
+    }
     sim.step();
   }
 }

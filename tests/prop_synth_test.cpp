@@ -111,7 +111,9 @@ TEST(CostModelProperties, MoreDspBudgetNeverCostsMoreLuts) {
     SynthOptions o;
     o.maxdsp = budget;
     long luts = synthesize(d, o).n_lut;
-    if (prev_luts >= 0 && budget != -1) EXPECT_LE(luts, prev_luts);
+    if (prev_luts >= 0 && budget != -1) {
+      EXPECT_LE(luts, prev_luts);
+    }
     if (budget != -1) prev_luts = luts;
   }
 }

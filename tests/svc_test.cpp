@@ -553,7 +553,7 @@ TEST(Server, ShedsWhenTheQueueIsFullAndRecovers) {
   EXPECT_TRUE(call_ok(server, R"({"method":"ping"})").find("pong")->as_bool());
 }
 
-// The storm bench_service runs, at unit-test size: two submitters each keep
+// A service storm at unit-test size: two submitters each keep
 // a window of 8 requests in flight against a deep queue, round-robin over
 // four designs with an evaluate every 5th request. Every request is
 // answered ok or shed, a queue deeper than the offered load sheds nothing,
