@@ -170,21 +170,4 @@ void BatchStreamTestbench::run_jobs(const JobSource& next,
       .arg("refills", static_cast<int64_t>(refills_));
 }
 
-std::vector<BatchLaneResult> BatchStreamTestbench::run_jobs(
-    const std::vector<Job>& jobs, uint64_t max_cycles,
-    const std::vector<netlist::NodeId>& probes) {
-  std::vector<BatchLaneResult> results(jobs.size());
-  size_t cursor = 0;
-  run_jobs(
-      [&](size_t* id, Job* job) {
-        if (cursor >= jobs.size()) return false;
-        *id = cursor;
-        *job = jobs[cursor++];
-        return true;
-      },
-      max_cycles, probes,
-      [&](size_t id, const BatchLaneResult& r) { results[id] = r; });
-  return results;
-}
-
 }  // namespace hlshc::axis

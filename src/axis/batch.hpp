@@ -65,11 +65,6 @@ class BatchStreamTestbench {
                 const std::vector<netlist::NodeId>& probes,
                 const JobDone& on_done);
 
-  /// Every job of `jobs`; results in job order.
-  std::vector<BatchLaneResult> run_jobs(
-      const std::vector<Job>& jobs, uint64_t max_cycles,
-      const std::vector<netlist::NodeId>& probes = {});
-
   /// Jobs of the last run_jobs() that completed while other lanes kept
   /// stepping (their lane idled or left the sweep behind stragglers).
   int lanes_masked_early() const { return masked_early_; }

@@ -1,7 +1,5 @@
 #include "axis/stream.hpp"
 
-#include "base/check.hpp"
-
 namespace hlshc::axis {
 
 std::string lane_port(const std::string& prefix, int lane) {
@@ -29,15 +27,6 @@ void store_output_beat(const Beat& beat, idct::Block& block, int r) {
   for (int c = 0; c < kLanes; ++c)
     idct::at(block, r, c) = static_cast<int32_t>(
         beat.lanes[static_cast<size_t>(c)].to_int64());
-}
-
-idct::Block beats_to_matrix(const std::vector<Beat>& beats) {
-  HLSHC_CHECK(beats.size() == idct::kBlockDim,
-              "expected 8 output beats, got " << beats.size());
-  idct::Block block{};
-  for (int r = 0; r < idct::kBlockDim; ++r)
-    store_output_beat(beats[static_cast<size_t>(r)], block, r);
-  return block;
 }
 
 }  // namespace hlshc::axis

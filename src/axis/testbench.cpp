@@ -87,6 +87,7 @@ SinkDriver::SinkDriver(sim::PortAccess& sim, std::string prefix)
     lanes_[static_cast<size_t>(c)] = resolve_output(sim, lane_port(prefix_, c));
 }
 
+// kept: test hook: the protocol tests drive sink back-pressure with it.
 void SinkDriver::set_backpressure(int stall_cycles, int period) {
   HLSHC_CHECK(stall_cycles >= 0 && period >= 0 &&
                   (period == 0 || stall_cycles < period),

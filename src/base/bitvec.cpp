@@ -1,6 +1,5 @@
 #include "base/bitvec.hpp"
 
-#include <ostream>
 #include <sstream>
 
 namespace hlshc {
@@ -26,10 +25,6 @@ std::string BitVec::to_string() const {
   std::ostringstream os;
   os << width_ << "'d" << value_;
   return os.str();
-}
-
-std::ostream& operator<<(std::ostream& os, const BitVec& v) {
-  return os << v.to_string();
 }
 
 }  // namespace hlshc

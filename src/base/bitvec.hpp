@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 
 #include "base/check.hpp"
@@ -199,7 +198,5 @@ class BitVec {
   int width_;
   int64_t value_;  ///< canonical: sign-extended to 64 bits
 };
-
-std::ostream& operator<<(std::ostream& os, const BitVec& v);
 
 }  // namespace hlshc

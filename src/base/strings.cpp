@@ -48,15 +48,6 @@ std::string_view trim(std::string_view s) {
 
 bool is_blank(std::string_view s) { return trim(s).empty(); }
 
-std::string join(const std::vector<std::string>& parts, std::string_view sep) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i) out.append(sep);
-    out.append(parts[i]);
-  }
-  return out;
-}
-
 std::string format_fixed(double v, int digits) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", digits, v);

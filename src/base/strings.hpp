@@ -20,9 +20,6 @@ std::string_view trim(std::string_view s);
 /// True if `s` consists only of ASCII whitespace (or is empty).
 bool is_blank(std::string_view s);
 
-/// Join with a separator.
-std::string join(const std::vector<std::string>& parts, std::string_view sep);
-
 /// Fixed-point decimal rendering with `digits` fraction digits ("12.34").
 std::string format_fixed(double v, int digits);
 

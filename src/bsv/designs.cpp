@@ -354,6 +354,7 @@ netlist::Design build_bsv_opt(const SchedulerOptions& options) {
   return om.m.take();
 }
 
+// kept: test-observation hook: bsv_test reads the rule conflicts with it.
 ScheduleInfo schedule_of_bsv_opt(const SchedulerOptions& options) {
   return build_opt_module(options).schedule;
 }

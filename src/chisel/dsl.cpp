@@ -55,12 +55,6 @@ SInt SInt::operator*(const SInt& o) const {
   return SInt(b_, b_->design().mul(id_, o.id_, w), w);
 }
 
-SInt SInt::operator-() const {
-  HLSHC_CHECK(b_ != nullptr, "unbound SInt");
-  int w = checked_width(width_ + 1);
-  return SInt(b_, b_->design().neg(id_, w), w);
-}
-
 SInt SInt::operator<<(int n) const {
   HLSHC_CHECK(b_ != nullptr, "unbound SInt");
   int w = checked_width(width_ + n);
@@ -145,17 +139,6 @@ SInt Builder::reg_like(const SInt& model, int64_t init,
 
 Bool Builder::reg_bool(bool init, const std::string& label) {
   return wrap_bool(design_.reg(1, init ? 1 : 0, label));
-}
-
-void Builder::connect(const SInt& reg, const SInt& next) {
-  // Widen (or refuse to silently truncate) like a Chisel := on SInt.
-  HLSHC_CHECK(next.width() <= reg.width(),
-              "connect would truncate " << next.width() << " -> "
-                                        << reg.width() << " bits");
-  netlist::NodeId rhs = next.width() == reg.width()
-                            ? next.id()
-                            : design_.sext(next.id(), reg.width());
-  design_.set_reg_next(reg.id(), rhs);
 }
 
 void Builder::connect(const Bool& reg, const Bool& next) {

@@ -54,7 +54,6 @@ class SInt {
   SInt operator+(const SInt& o) const;
   SInt operator-(const SInt& o) const;
   SInt operator*(const SInt& o) const;
-  SInt operator-() const;
   SInt operator<<(int n) const;
   SInt operator>>(int n) const;  ///< arithmetic shift, width shrinks
 
@@ -99,7 +98,6 @@ class Builder {
   Bool reg_bool(bool init, const std::string& label = {});
 
   /// reg := next (unconditional).
-  void connect(const SInt& reg, const SInt& next);
   void connect(const Bool& reg, const Bool& next);
   /// when(en) { reg := next } — otherwise the register holds.
   void connect_when(const SInt& reg, const Bool& en, const SInt& next);

@@ -53,23 +53,4 @@ DiffCount diff_data_files(const std::string& before_rel,
   return diff_lines(read(before_rel), read(after_rel));
 }
 
-int diff_block_elements(const idct::Block& want, const idct::Block& got) {
-  int mismatches = 0;
-  for (size_t i = 0; i < want.size(); ++i)
-    if (want[i] != got[i]) ++mismatches;
-  return mismatches;
-}
-
-int diff_block_sequences(const std::vector<idct::Block>& want,
-                         const std::vector<idct::Block>& got) {
-  int mismatches = 0;
-  const size_t common = std::min(want.size(), got.size());
-  for (size_t i = 0; i < common; ++i)
-    mismatches += diff_block_elements(want[i], got[i]);
-  const size_t surplus =
-      std::max(want.size(), got.size()) - common;
-  mismatches += static_cast<int>(surplus) * idct::kBlockSize;
-  return mismatches;
-}
-
 }  // namespace hlshc::core

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/loc.hpp"
-#include "idct/block.hpp"
 
 namespace hlshc::core {
 
@@ -28,14 +27,5 @@ DiffCount diff_lines(const std::string& before, const std::string& after);
 /// Diff of two files under data/.
 DiffCount diff_data_files(const std::string& before_rel,
                           const std::string& after_rel);
-
-/// Element-wise mismatch count between two 8x8 blocks — the fault campaign's
-/// silent-data-corruption measure against the ISO 13818-4 C model.
-int diff_block_elements(const idct::Block& want, const idct::Block& got);
-
-/// Total mismatching elements across two block sequences; a missing or
-/// surplus block counts as fully mismatched.
-int diff_block_sequences(const std::vector<idct::Block>& want,
-                         const std::vector<idct::Block>& got);
 
 }  // namespace hlshc::core

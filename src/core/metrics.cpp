@@ -19,9 +19,4 @@ double flexibility(double phi_best, double phi_initial, int delta_loc) {
   return (phi_best - phi_initial) / static_cast<double>(delta_loc);
 }
 
-double quality(double perf_ops_per_s, long area) {
-  HLSHC_CHECK(area > 0, "quality needs a positive area");
-  return perf_ops_per_s / static_cast<double>(area);
-}
-
 }  // namespace hlshc::core

@@ -23,7 +23,4 @@ double controllability_percent(double phi_best, double phi_verilog_best);
 /// sources (including options). Returns 0 when nothing was changed.
 double flexibility(double phi_best, double phi_initial, int delta_loc);
 
-/// Q = P/A with P in operations per second.
-double quality(double perf_ops_per_s, long area);
-
 }  // namespace hlshc::core

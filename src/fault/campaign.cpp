@@ -20,21 +20,6 @@ namespace hlshc::fault {
 using netlist::Design;
 using netlist::NodeId;
 
-const char* outcome_name(Outcome outcome) {
-  switch (outcome) {
-    case Outcome::kMasked: return "masked";
-    case Outcome::kSdc: return "sdc";
-    case Outcome::kDetected: return "detected";
-    case Outcome::kHang: return "hang";
-  }
-  HLSHC_UNREACHABLE("bad Outcome");
-}
-
-std::vector<idct::Block> ieee1180_input_set(int matrices, long seed) {
-  return workload::campaign_input_set(
-      workload::Registry::instance().get("idct"), matrices, seed);
-}
-
 std::vector<NodeId> detector_outputs(const Design& d) {
   std::vector<NodeId> ids;
   for (NodeId o : d.outputs())
@@ -241,13 +226,6 @@ CampaignReport run_campaign(const Design& d,
   return report;
 }
 
-CampaignReport run_campaign(const Design& d,
-                            const std::vector<FaultSite>& sites,
-                            const CampaignOptions& options) {
-  return run_campaign(d, workload::Registry::instance().get("idct"), sites,
-                      options);
-}
-
 DesignResilience resilience_from_campaign(const Design& d,
                                           const workload::WorkloadSpec& spec,
                                           CampaignReport campaign,
@@ -272,31 +250,6 @@ DesignResilience resilience_from_campaign(const Design& d,
                   ? r.throughput_mops * 1e6 / static_cast<double>(r.area)
                   : 0.0;
   return r;
-}
-
-DesignResilience resilience_from_campaign(const Design& d,
-                                          CampaignReport campaign,
-                                          const synth::NormalizedSynth& ds,
-                                          const CampaignOptions& options) {
-  return resilience_from_campaign(d, workload::Registry::instance().get("idct"),
-                                  std::move(campaign), ds, options);
-}
-
-DesignResilience evaluate_resilience(const Design& d,
-                                     const workload::WorkloadSpec& spec,
-                                     const std::vector<FaultSite>& sites,
-                                     const synth::NormalizedSynth& ds,
-                                     const CampaignOptions& options) {
-  return resilience_from_campaign(d, spec, run_campaign(d, spec, sites, options),
-                                  ds, options);
-}
-
-DesignResilience evaluate_resilience(const Design& d,
-                                     const std::vector<FaultSite>& sites,
-                                     const synth::NormalizedSynth& ds,
-                                     const CampaignOptions& options) {
-  return evaluate_resilience(d, workload::Registry::instance().get("idct"),
-                             sites, ds, options);
 }
 
 std::string resilience_table(const std::vector<DesignResilience>& rows) {

@@ -5,8 +5,8 @@
 // classifies every run:
 //
 //   masked   — outputs bit-exact against the golden result;
-//   sdc      — silent data corruption: outputs differ (diff vs. the ISO
-//              13818-4 C model via core/diff) with no error indication, or
+//   sdc      — silent data corruption: outputs differ (workload::diff_outputs
+//              against the reference model) with no error indication, or
 //              the output framing broke (a fault moved TLAST, so a frame
 //              closed after other than 8 beats: the `protocol` sub-count);
 //   detected — a sticky "*_err" hardening output asserted, or the AXI
@@ -43,8 +43,6 @@
 namespace hlshc::fault {
 
 enum class Outcome : uint8_t { kMasked, kSdc, kDetected, kHang };
-
-const char* outcome_name(Outcome outcome);
 
 struct CampaignCounts {
   int masked = 0, sdc = 0, detected = 0, hang = 0;
@@ -124,11 +122,6 @@ struct CampaignReport {
   std::string progress_error;
 };
 
-/// The IDCT campaign stimulus: IEEE 1180 (L,H)=(256,255) spatial blocks
-/// pushed through the reference forward DCT, i.e. realistic coefficient
-/// matrices. Equivalent to the registered "idct" workload's campaign set.
-std::vector<idct::Block> ieee1180_input_set(int matrices, long seed = 1);
-
 /// Output ports whose assertion counts as fault detection: the sticky
 /// "*_err" flags the hardening transforms add.
 std::vector<netlist::NodeId> detector_outputs(const netlist::Design& d);
@@ -148,12 +141,6 @@ CampaignReport run_campaign(const netlist::Design& d,
                             const std::vector<FaultSite>& sites,
                             const CampaignOptions& options = {});
 
-/// Convenience overload against the registered "idct" workload;
-/// bit-identical to the historical hardwired path.
-CampaignReport run_campaign(const netlist::Design& d,
-                            const std::vector<FaultSite>& sites,
-                            const CampaignOptions& options = {});
-
 /// A campaign joined with the paper's Table II axes for the same design:
 /// measured periodicity, modelled fmax, normalized area A, P and Q — so a
 /// hardened variant reports what its protection costs.
@@ -166,28 +153,13 @@ struct DesignResilience {
   double quality = 0.0;          ///< Q = P/A
 };
 
-/// `ds` is the design's synthesis result (both DSP modes); it is injected so
-/// the caller controls the netlist pipeline — benches pass the result of
+/// Joins an already-run campaign with the design's A/P/Q: a fault-free
+/// timing run against `spec` measures the periodicity. `ds` is the design's
+/// synthesis result (both DSP modes); it is injected so the caller controls
+/// the netlist pipeline — the paper tables pass the result of
 /// tools::compile_synth_normalized, tests may synthesize directly.
-DesignResilience evaluate_resilience(const netlist::Design& d,
-                                     const workload::WorkloadSpec& spec,
-                                     const std::vector<FaultSite>& sites,
-                                     const synth::NormalizedSynth& ds,
-                                     const CampaignOptions& options = {});
-DesignResilience evaluate_resilience(const netlist::Design& d,
-                                     const std::vector<FaultSite>& sites,
-                                     const synth::NormalizedSynth& ds,
-                                     const CampaignOptions& options = {});
-
-/// The A/P/Q half of evaluate_resilience joined with an already-run
-/// campaign — lets the bench time serial and parallel campaigns separately
-/// without paying for a third one.
 DesignResilience resilience_from_campaign(const netlist::Design& d,
                                           const workload::WorkloadSpec& spec,
-                                          CampaignReport campaign,
-                                          const synth::NormalizedSynth& ds,
-                                          const CampaignOptions& options = {});
-DesignResilience resilience_from_campaign(const netlist::Design& d,
                                           CampaignReport campaign,
                                           const synth::NormalizedSynth& ds,
                                           const CampaignOptions& options = {});

@@ -2,9 +2,7 @@
 
 #include <map>
 #include <string>
-#include <vector>
 
-#include "base/bitvec.hpp"
 #include "netlist/instantiate.hpp"
 #include "netlist/passes.hpp"
 
@@ -14,7 +12,6 @@ using netlist::Design;
 using netlist::kInvalidNode;
 using netlist::Node;
 using netlist::NodeId;
-using netlist::Op;
 
 Design tmr(const Design& kernel, const TmrOptions& options) {
   HLSHC_CHECK(!kernel.outputs().empty(),
@@ -44,96 +41,6 @@ Design tmr(const Design& kernel, const TmrOptions& options) {
     out.set_reg_next(err, out.bor(err, mismatch, 1));
     out.output("tmr_err", err);
   }
-  return out;
-}
-
-Design parity_protect(const Design& d) {
-  HLSHC_CHECK(!d.memories().empty(),
-              "parity_protect: design '" << d.name() << "' has no memories");
-  Design out(d.name() + "_par");
-  for (const netlist::Memory& m : d.memories()) {
-    HLSHC_CHECK(m.width < BitVec::kMaxWidth,
-                "parity_protect: memory '" << m.name
-                                           << "' has no headroom for a parity"
-                                              " bit");
-    out.add_memory(m.name, m.width + 1, m.depth);
-  }
-
-  std::vector<NodeId> remap(d.node_count(), kInvalidNode);
-  std::vector<NodeId> checks;
-
-  // Pass 1: copy nodes in id order (which is topological for everything but
-  // register next-values). Memory ports are rewritten around the widened
-  // word: writes append the parity bit as MSB, reads split it back off and
-  // contribute a parity-mismatch check.
-  for (size_t i = 0; i < d.node_count(); ++i) {
-    NodeId id = static_cast<NodeId>(i);
-    const Node& n = d.node(id);
-    switch (n.op) {
-      case Op::Input:
-        remap[i] = out.input(n.name, n.width);
-        break;
-      case Op::Output:
-        remap[i] = out.output(n.name, remap[static_cast<size_t>(n.operands[0])]);
-        break;
-      case Op::Reg:
-        remap[i] = out.reg(n.width, n.imm, n.name);
-        break;
-      case Op::MemWrite: {
-        NodeId data = remap[static_cast<size_t>(n.operands[1])];
-        NodeId guarded = out.concat(netlist::xor_reduce(out, data), data);
-        remap[i] = out.mem_write(n.mem,
-                                 remap[static_cast<size_t>(n.operands[0])],
-                                 guarded,
-                                 remap[static_cast<size_t>(n.operands[2])]);
-        break;
-      }
-      case Op::MemRead: {
-        const int w = d.memories()[static_cast<size_t>(n.mem)].width;
-        NodeId raw =
-            out.mem_read(n.mem, remap[static_cast<size_t>(n.operands[0])]);
-        NodeId value = out.slice(raw, w - 1, 0);
-        NodeId stored = out.slice(raw, w, w);
-        checks.push_back(
-            out.bxor(stored, netlist::xor_reduce(out, value), 1));
-        remap[i] = value;
-        break;
-      }
-      default: {
-        Node copy = n;
-        copy.operands.clear();
-        for (NodeId o : n.operands) {
-          NodeId m = remap[static_cast<size_t>(o)];
-          HLSHC_CHECK(m != kInvalidNode,
-                      "parity_protect: forward reference through non-reg node");
-          copy.operands.push_back(m);
-        }
-        NodeId nid = out.constant(copy.width, 0);
-        out.mutable_node(nid) = copy;
-        remap[i] = nid;
-        break;
-      }
-    }
-  }
-
-  // Pass 2: register next-values (may reference later nodes).
-  for (size_t i = 0; i < d.node_count(); ++i) {
-    const Node& n = d.node(static_cast<NodeId>(i));
-    if (n.op != Op::Reg) continue;
-    HLSHC_CHECK(!n.operands.empty(),
-                "parity_protect: register without next-value in " << d.name());
-    NodeId next = remap[static_cast<size_t>(n.operands[0])];
-    NodeId en = n.operands.size() > 1
-                    ? remap[static_cast<size_t>(n.operands[1])]
-                    : kInvalidNode;
-    out.set_reg_next(remap[i], next, en);
-  }
-
-  NodeId any = out.constant(1, 0);
-  for (NodeId c : checks) any = out.bor(any, c, 1);
-  NodeId err = out.reg(1, 0, "parity_err_r");
-  out.set_reg_next(err, out.bor(err, any, 1));
-  out.output("parity_err", err);
   return out;
 }
 

@@ -1,19 +1,13 @@
-// Hardening transforms: TMR and memory parity.
+// Hardening transform: TMR.
 //
-// Both transforms operate on finished netlist designs, so any flow's output
+// tmr() operates on a finished netlist design, so any flow's output
 // (Verilog-style RTL, Chisel eDSL, BSV schedule, XLS pipeline, HLS result)
 // can be hardened after the fact and re-costed with synth::cost_model — the
-// hardened A, P and Q land next to the paper's Table II numbers.
-//
-//   * tmr() triplicates the whole kernel via netlist::instantiate and
-//     majority-votes every output port bitwise, masking any single fault
-//     confined to one copy. Port-compatible with the original design; the
-//     optional detector adds a sticky 1-bit "tmr_err" output that latches
-//     any copy disagreement.
-//   * parity_protect() widens every memory by one even-parity bit, checks
-//     parity on every combinational read, and exposes a sticky 1-bit
-//     "parity_err" output — single memory bit-flips become detected (not
-//     silent) the first time the corrupted word is read.
+// hardened A, P and Q land next to the paper's Table II numbers. It
+// triplicates the whole kernel via netlist::instantiate and majority-votes
+// every output port bitwise, masking any single fault confined to one copy.
+// Port-compatible with the original design; the optional detector adds a
+// sticky 1-bit "tmr_err" output that latches any copy disagreement.
 #pragma once
 
 #include "netlist/ir.hpp"
@@ -30,9 +24,5 @@ struct TmrOptions {
 /// outputs to vote.
 netlist::Design tmr(const netlist::Design& kernel,
                     const TmrOptions& options = {});
-
-/// Even-parity protection on every memory of `d`. Throws if `d` has no
-/// memories or a memory word is already at the 64-bit value-width cap.
-netlist::Design parity_protect(const netlist::Design& d);
 
 }  // namespace hlshc::fault

@@ -96,6 +96,7 @@ void validate_site(const Design& d, const FaultSite& site) {
   }
 }
 
+// kept: the exhaustive site oracle of Harden.TmrMasksEverySingleRegisterUpset.
 std::vector<FaultSite> enumerate_reg_seu_sites(const Design& d,
                                                uint64_t cycle) {
   std::vector<FaultSite> sites;
@@ -105,19 +106,6 @@ std::vector<FaultSite> enumerate_reg_seu_sites(const Design& d,
     for (int b = 0; b < n.width; ++b)
       sites.push_back({FaultKind::kSeuReg, static_cast<NodeId>(i), -1, 0, b,
                        cycle});
-  }
-  return sites;
-}
-
-std::vector<FaultSite> enumerate_mem_seu_sites(const Design& d,
-                                               uint64_t cycle) {
-  std::vector<FaultSite> sites;
-  for (int m = 0; m < static_cast<int>(d.memories().size()); ++m) {
-    const netlist::Memory& mem = d.memories()[static_cast<size_t>(m)];
-    for (int a = 0; a < mem.depth; ++a)
-      for (int b = 0; b < mem.width; ++b)
-        sites.push_back(
-            {FaultKind::kSeuMem, netlist::kInvalidNode, m, a, b, cycle});
   }
   return sites;
 }

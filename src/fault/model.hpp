@@ -61,10 +61,6 @@ sim::LaneFault to_lane_fault(const FaultSite& site);
 std::vector<FaultSite> enumerate_reg_seu_sites(const netlist::Design& d,
                                                uint64_t cycle);
 
-/// Every memory bit of `d` as an SEU site injected at `cycle`.
-std::vector<FaultSite> enumerate_mem_seu_sites(const netlist::Design& d,
-                                               uint64_t cycle);
-
 /// `count` SEU sites drawn uniformly over all register and memory bits of
 /// `d`, each with an injection cycle uniform in [0, max_cycle]. Deterministic
 /// in `seed`. Throws if `d` holds no sequential state.

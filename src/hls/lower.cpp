@@ -365,6 +365,7 @@ std::vector<DepEdge> dependence_edges(const Dfg& dfg) {
   return edges;
 }
 
+// kept: the DFG oracle of the ROADMAP C -> FSMD differential-fuzzing item.
 void interpret(const Dfg& dfg, std::vector<int32_t>& memory) {
   HLSHC_CHECK(static_cast<int>(memory.size()) >= dfg.mem_size,
               "memory image too small");

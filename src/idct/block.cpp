@@ -4,12 +4,6 @@
 
 namespace hlshc::idct {
 
-bool in_range(const Block& b, int lo, int hi) {
-  for (int32_t v : b)
-    if (v < lo || v > hi) return false;
-  return true;
-}
-
 std::string to_string(const Block& b) {
   std::ostringstream os;
   for (int r = 0; r < kBlockDim; ++r) {

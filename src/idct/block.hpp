@@ -37,9 +37,6 @@ inline int32_t iclip(int64_t v) {
                                           : static_cast<int32_t>(v));
 }
 
-/// True if every element is within [lo, hi].
-bool in_range(const Block& b, int lo, int hi);
-
 /// Multi-line rendering for test failure messages.
 std::string to_string(const Block& b);
 

@@ -58,6 +58,7 @@ void idct_row(int32_t* blk) {
   blk[7] = (x7 - x1) >> 8;
 }
 
+// kept: the reference rtl_test and chisel_test compare the row units against.
 void idct_row_straight(int32_t* blk) {
   int32_t x1 = blk[4] << 11, x2 = blk[6], x3 = blk[2], x4 = blk[1],
           x5 = blk[7], x6 = blk[5], x7 = blk[3];
@@ -148,6 +149,7 @@ void idct_col(int32_t* blk) {
   blk[8 * 7] = iclip((x7 - x1) >> 14);
 }
 
+// kept: the reference rtl_test compares the column unit against.
 void idct_col_straight(int32_t* blk) {
   int32_t x1 = blk[8 * 4] << 8, x2 = blk[8 * 6], x3 = blk[8 * 2],
           x4 = blk[8 * 1], x5 = blk[8 * 7], x6 = blk[8 * 5],
@@ -194,6 +196,7 @@ void idct_2d(Block& block) {
   for (int c = 0; c < kBlockDim; ++c) idct_col(block.data() + c);
 }
 
+// kept: the reference idct_test compares idct_2d against.
 void idct_2d_straight(Block& block) {
   for (int r = 0; r < kBlockDim; ++r) idct_row_straight(block.data() + 8 * r);
   for (int c = 0; c < kBlockDim; ++c) idct_col_straight(block.data() + c);

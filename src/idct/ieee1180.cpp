@@ -84,10 +84,4 @@ std::vector<ComplianceResult> run_compliance_suite(const IdctFunction& idct,
   return out;
 }
 
-bool all_pass(const std::vector<ComplianceResult>& results) {
-  for (const auto& r : results)
-    if (!r.pass) return false;
-  return !results.empty();
-}
-
 }  // namespace hlshc::idct

@@ -59,7 +59,4 @@ ComplianceResult run_compliance_case(const IdctFunction& idct,
 std::vector<ComplianceResult> run_compliance_suite(const IdctFunction& idct,
                                                    int blocks = 10000);
 
-/// True iff every case in `results` passed.
-bool all_pass(const std::vector<ComplianceResult>& results);
-
 }  // namespace hlshc::idct

@@ -83,10 +83,6 @@ DFEVar KernelBuilder::constant(int64_t value, int width) {
   return wrap(design_.constant(width, value), width, 0);
 }
 
-DFEVar KernelBuilder::slice(const DFEVar& a, int hi, int lo) {
-  return wrap(design_.slice(a.id, hi, lo), hi - lo + 1, a.depth);
-}
-
 DFEVar KernelBuilder::counter(int modulo, const std::string& label) {
   // Width: enough for modulo-1, kept positive.
   int w = BitVec::min_signed_width(modulo) + 1;
@@ -110,23 +106,6 @@ DFEVar KernelBuilder::le(const DFEVar& a, int64_t value) {
 DFEVar KernelBuilder::logic_and(const DFEVar& a, const DFEVar& b) {
   auto [x, y] = aligned(a, b);
   return wrap(design_.band(x.id, y.id, 1), 1, x.depth);
-}
-
-DFEVar KernelBuilder::logic_not(const DFEVar& a) {
-  return wrap(design_.bnot(a.id, 1), 1, a.depth);
-}
-
-DFEVar KernelBuilder::mux(const DFEVar& sel, const DFEVar& t,
-                          const DFEVar& f) {
-  DFEVar s = sel, a = t, b = f;
-  int d = std::max({s.depth, a.depth, b.depth});
-  s = balance(s, d);
-  a = balance(a, d);
-  b = balance(b, d);
-  int w = std::max(a.width, b.width);
-  return wrap(design_.mux(s.id, design_.sext(a.id, w),
-                          design_.sext(b.id, w), w),
-              w, d);
 }
 
 DFEVar KernelBuilder::offset(const DFEVar& v, int back) {

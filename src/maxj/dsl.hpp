@@ -56,7 +56,6 @@ class KernelBuilder {
   DFEVar shl(const DFEVar& a, int amount);
   DFEVar ashr(const DFEVar& a, int amount);
   DFEVar constant(int64_t value, int width = 32);
-  DFEVar slice(const DFEVar& a, int hi, int lo);
 
   // ---- control --------------------------------------------------------------
   /// Free-running modulo counter (control.count.simpleCounter).
@@ -64,8 +63,6 @@ class KernelBuilder {
   DFEVar eq(const DFEVar& a, int64_t value);
   DFEVar le(const DFEVar& a, int64_t value);
   DFEVar logic_and(const DFEVar& a, const DFEVar& b);
-  DFEVar logic_not(const DFEVar& a);
-  DFEVar mux(const DFEVar& sel, const DFEVar& t, const DFEVar& f);
 
   /// stream.offset(v, -k): v delayed k ticks.
   DFEVar offset(const DFEVar& v, int back);

@@ -37,31 +37,4 @@ std::string dump_text(const Design& d) {
   return os.str();
 }
 
-std::string dump_dot(const Design& d) {
-  std::ostringstream os;
-  os << "digraph \"" << d.name() << "\" {\n  rankdir=LR;\n";
-  for (size_t i = 0; i < d.node_count(); ++i) {
-    const Node& n = d.node(static_cast<NodeId>(i));
-    os << "  n" << i << " [label=\"" << op_name(n.op) << '<' << n.width
-       << '>';
-    if (n.op == Op::Const) os << ' ' << n.imm;
-    if (!n.name.empty()) os << "\\n" << n.name;
-    os << "\", shape=" << (n.op == Op::Reg ? "box" : "ellipse") << "];\n";
-    for (NodeId o : n.operands)
-      os << "  n" << o << " -> n" << i << ";\n";
-  }
-  os << "}\n";
-  return os.str();
-}
-
-std::string summarize(const Design& d) {
-  DesignStats s = compute_stats(d);
-  std::ostringstream os;
-  os << d.name() << ": " << s.nodes << " nodes, " << s.regs << " regs ("
-     << s.reg_bits << " bits), " << s.adders << " adders, " << s.const_mults
-     << " const-mults, " << s.multipliers << " mults, " << s.muxes
-     << " muxes, " << s.memories << " memories";
-  return os.str();
-}
-
 }  // namespace hlshc::netlist

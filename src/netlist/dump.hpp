@@ -1,6 +1,6 @@
-// Human-readable netlist dumps: a flat text listing (one node per line,
-// stable across runs, used in golden tests) and a Graphviz dot rendering
-// for debugging elaborated designs.
+// Human-readable netlist dump: a flat text listing, one node per line,
+// stable across runs: the compile cache's content key and the service's
+// `netlist` result.
 #pragma once
 
 #include <string>
@@ -11,11 +11,5 @@ namespace hlshc::netlist {
 
 /// One line per node: "%id = op<width> (%a, %b) [attrs]".
 std::string dump_text(const Design& d);
-
-/// Graphviz digraph.
-std::string dump_dot(const Design& d);
-
-/// One-line summary: "name: N nodes, R regs (B bits), A adders, ...".
-std::string summarize(const Design& d);
 
 }  // namespace hlshc::netlist

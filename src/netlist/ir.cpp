@@ -40,26 +40,6 @@ const char* op_name(Op op) {
   return "?";
 }
 
-bool is_comparison(Op op) {
-  switch (op) {
-    case Op::Eq: case Op::Ne: case Op::Slt: case Op::Sle:
-    case Op::Sgt: case Op::Sge: case Op::Ult:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool is_wiring(Op op) {
-  switch (op) {
-    case Op::Shl: case Op::AShr: case Op::LShr:
-    case Op::Slice: case Op::Concat: case Op::SExt: case Op::ZExt:
-      return true;
-    default:
-      return false;
-  }
-}
-
 NodeId Design::push(Node n) {
   HLSHC_CHECK(n.width >= 1 && n.width <= BitVec::kMaxWidth,
               "node width " << n.width << " out of range in '" << name_
@@ -152,11 +132,6 @@ NodeId Design::ashr(NodeId a, int amount, int w) {
   mutable_node(id).imm = amount;
   return id;
 }
-NodeId Design::lshr(NodeId a, int amount, int w) {
-  NodeId id = unary(Op::LShr, a, w);
-  mutable_node(id).imm = amount;
-  return id;
-}
 
 NodeId Design::band(NodeId a, NodeId b, int w) { return binary(Op::And, a, b, w); }
 NodeId Design::bor(NodeId a, NodeId b, int w) { return binary(Op::Or, a, b, w); }
@@ -169,7 +144,6 @@ NodeId Design::slt(NodeId a, NodeId b) { return compare(Op::Slt, a, b); }
 NodeId Design::sle(NodeId a, NodeId b) { return compare(Op::Sle, a, b); }
 NodeId Design::sgt(NodeId a, NodeId b) { return compare(Op::Sgt, a, b); }
 NodeId Design::sge(NodeId a, NodeId b) { return compare(Op::Sge, a, b); }
-NodeId Design::ult(NodeId a, NodeId b) { return compare(Op::Ult, a, b); }
 
 NodeId Design::mux(NodeId sel, NodeId t, NodeId f, int w) {
   check_id(sel);
@@ -374,6 +348,7 @@ void Design::validate() const {
   validated_ = true;   // only successful validations are cached
 }
 
+// kept: test-observation hook: pipeline and pass tests count ops with it.
 DesignStats compute_stats(const Design& d) {
   DesignStats s;
   s.nodes = static_cast<int>(d.node_count());

@@ -46,13 +46,6 @@ enum class Op : uint8_t {
 
 const char* op_name(Op op);
 
-/// True for ops that produce a 1-bit result regardless of operand widths.
-bool is_comparison(Op op);
-
-/// True for zero-cost "wiring" ops (slices, extensions, concatenation,
-/// constant shifts) that consume neither LUTs nor delay.
-bool is_wiring(Op op);
-
 struct Node {
   Op op = Op::Const;
   int width = 1;                  ///< result width in bits (1..64)
@@ -90,7 +83,6 @@ class Design {
   NodeId neg(NodeId a, int width);
   NodeId shl(NodeId a, int amount, int width);
   NodeId ashr(NodeId a, int amount, int width);
-  NodeId lshr(NodeId a, int amount, int width);
   NodeId band(NodeId a, NodeId b, int width);
   NodeId bor(NodeId a, NodeId b, int width);
   NodeId bxor(NodeId a, NodeId b, int width);
@@ -101,7 +93,6 @@ class Design {
   NodeId sle(NodeId a, NodeId b);
   NodeId sgt(NodeId a, NodeId b);
   NodeId sge(NodeId a, NodeId b);
-  NodeId ult(NodeId a, NodeId b);
   NodeId mux(NodeId sel, NodeId t, NodeId f, int width);
   NodeId slice(NodeId a, int hi, int lo);
   NodeId concat(NodeId hi, NodeId lo);

@@ -85,13 +85,6 @@ int apply_replacements(Design& d, std::vector<NodeId>& repl) {
 
 }  // namespace
 
-int PassStats::total_changes() const {
-  return std::accumulate(runs.begin(), runs.end(), 0,
-                         [](int acc, const PassRun& r) {
-                           return acc + r.changes;
-                         });
-}
-
 size_t PassStats::nodes_before() const {
   return runs.empty() ? 0 : runs.front().nodes_before;
 }
@@ -565,13 +558,6 @@ int strength_reduce_mults(Design& d) {
   }
   if (expanded > 0) d = std::move(out);
   return expanded;
-}
-
-NodeId xor_reduce(Design& d, NodeId v) {
-  const int w = d.node(v).width;
-  NodeId acc = d.slice(v, 0, 0);
-  for (int b = 1; b < w; ++b) acc = d.bxor(acc, d.slice(v, b, b), 1);
-  return acc;
 }
 
 NodeId majority3(Design& d, NodeId a, NodeId b, NodeId c) {

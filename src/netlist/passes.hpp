@@ -32,7 +32,6 @@ struct PassStats {
   int iterations = 0;          ///< fixed-point rounds executed
   std::vector<PassRun> runs;   ///< per-pass breakdown, in execution order
 
-  int total_changes() const;
   /// Node counts at the pipeline boundaries (0 when no pass ran).
   size_t nodes_before() const;
   size_t nodes_after() const;
@@ -92,10 +91,7 @@ NodeId build_shift_add(Design& d, NodeId x, int64_t constant, int width,
 /// PassManager, returning the cleaned design.
 Design optimize(const Design& d, PassStats* stats = nullptr);
 
-// ---- structural building blocks shared by the hardening transforms --------
-
-/// Single-bit XOR reduction (even parity) of `v`.
-NodeId xor_reduce(Design& d, NodeId v);
+// ---- structural building block of the TMR hardening transform -------------
 
 /// Bitwise 2-of-3 majority vote of three equal-width values — the TMR voter:
 /// any single corrupted operand is outvoted per bit.

@@ -16,13 +16,6 @@ const char* event_level_name(EventLevel level) {
 
 EventLog::EventLog(size_t capacity) { ring_.resize(std::max<size_t>(capacity, 1)); }
 
-void EventLog::set_capacity(size_t capacity) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ring_.assign(std::max<size_t>(capacity, 1), Event{});
-  start_ = 0;
-  count_ = 0;
-}
-
 size_t EventLog::capacity() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return ring_.size();
@@ -76,6 +69,7 @@ int64_t EventLog::dropped() const {
   return dropped_;
 }
 
+// kept: test-observation hook: obs_test reads the ring with it.
 std::vector<Event> EventLog::snapshot(size_t limit) const {
   std::lock_guard<std::mutex> lock(mutex_);
   const size_t n = (limit == 0 || limit > count_) ? count_ : limit;
@@ -96,6 +90,7 @@ std::vector<Event> EventLog::for_trace(uint64_t trace_id) const {
   return out;
 }
 
+// kept: test isolation: svc_test and trace_test empty the global log.
 void EventLog::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   start_ = 0;
@@ -115,11 +110,6 @@ void EventLog::close_sink() {
   std::lock_guard<std::mutex> lock(mutex_);
   sink_.reset();
   sink_path_.clear();
-}
-
-bool EventLog::sink_open() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return sink_ != nullptr;
 }
 
 Json EventLog::event_json(const Event& event) {

@@ -60,8 +60,6 @@ class EventLog {
 
   explicit EventLog(size_t capacity = kDefaultCapacity);
 
-  /// Resizes the ring; existing events are dropped (tests, daemon startup).
-  void set_capacity(size_t capacity);
   size_t capacity() const;
 
   /// Records `event`, stamping ts_ns / tid / trace ids from the calling
@@ -88,7 +86,6 @@ class EventLog {
   /// `path` (truncating an existing file). Throws hlshc::Error on failure.
   void open_sink(const std::string& path);
   void close_sink();
-  bool sink_open() const;
 
   /// {"ts_ns":…, "level":"info", "trace_id":"00c0…", "span_id":"…",
   ///  "tid":…, "name":"svc.request", …kv…} — trace ids omitted when 0.

@@ -31,13 +31,6 @@ Json Json::number(int64_t v) {
   return j;
 }
 
-Json Json::number(uint64_t v) {
-  // Counters fit int64 in practice; saturate rather than wrap negative.
-  return number(v > static_cast<uint64_t>(INT64_MAX)
-                    ? INT64_MAX
-                    : static_cast<int64_t>(v));
-}
-
 Json Json::string(std::string s) {
   Json j;
   j.kind_ = Kind::kString;
@@ -96,12 +89,14 @@ const Json* Json::find(std::string_view key) const {
   return nullptr;
 }
 
+// kept: test-observation hook: tests read responses and traces with it.
 const Json& Json::at(std::string_view key) const {
   const Json* v = find(key);
   HLSHC_CHECK(v != nullptr, "missing JSON key '" << key << '\'');
   return *v;
 }
 
+// kept: test-observation hook: tests read responses and traces with it.
 const std::vector<std::pair<std::string, Json>>& Json::items() const {
   HLSHC_CHECK(kind_ == Kind::kObject, "items() on non-object JSON value");
   return obj_;
@@ -113,10 +108,12 @@ Json& Json::push(Json value) {
   return *this;
 }
 
+// kept: test-observation hook: tests read responses and traces with it.
 size_t Json::size() const {
   return kind_ == Kind::kArray ? arr_.size() : obj_.size();
 }
 
+// kept: test-observation hook: tests read responses and traces with it.
 const Json& Json::operator[](size_t index) const {
   HLSHC_CHECK(kind_ == Kind::kArray, "operator[] on non-array JSON value");
   HLSHC_CHECK(index < arr_.size(),

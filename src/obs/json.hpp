@@ -36,7 +36,6 @@ class Json {
   static Json boolean(bool b);
   static Json number(double v);
   static Json number(int64_t v);
-  static Json number(uint64_t v);
   static Json number(int v) { return number(static_cast<int64_t>(v)); }
   static Json string(std::string s);
   static Json array();

@@ -48,6 +48,7 @@ int64_t Histogram::percentile(double p) const {
   return max();
 }
 
+// kept: test isolation between tests that enable metrics.
 void Registry::reset() {
   std::lock_guard<std::mutex> lock(mutex_);
   counters_.clear();
@@ -100,20 +101,6 @@ std::string labeled(std::string_view name, std::string_view key,
   out.append(name).push_back('{');
   out.append(key).push_back('=');
   out.append(value).push_back('}');
-  return out;
-}
-
-std::string labeled(std::string_view name, std::string_view key1,
-                    std::string_view value1, std::string_view key2,
-                    std::string_view value2) {
-  std::string out;
-  out.reserve(name.size() + key1.size() + value1.size() + key2.size() +
-              value2.size() + 4);
-  out.append(name).push_back('{');
-  out.append(key1).push_back('=');
-  out.append(value1).push_back(',');
-  out.append(key2).push_back('=');
-  out.append(value2).push_back('}');
   return out;
 }
 

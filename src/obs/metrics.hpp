@@ -215,10 +215,6 @@ Registry& registry();
 /// outcome): every distinct value is a live registry entry.
 std::string labeled(std::string_view name, std::string_view key,
                     std::string_view value);
-/// Two-label variant: `name{k1=v1,k2=v2}`.
-std::string labeled(std::string_view name, std::string_view key1,
-                    std::string_view value1, std::string_view key2,
-                    std::string_view value2);
 
 /// Convenience: bump a named counter iff metrics are enabled. For hot loops
 /// prefer resolving the Counter* once and guarding manually.

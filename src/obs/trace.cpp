@@ -113,11 +113,7 @@ void Tracer::instant(std::string name, std::string category) {
   events_.push_back(std::move(e));
 }
 
-size_t Tracer::event_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return events_.size();
-}
-
+// kept: test isolation between traced tests.
 void Tracer::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   events_.clear();

@@ -142,7 +142,6 @@ class Tracer {
   /// Zero-duration marker ("i" event) — campaign progress ticks etc.
   void instant(std::string name, std::string category);
 
-  size_t event_count() const;
   void clear();
 
   /// Chrome trace_event JSON object format: {"traceEvents": [...],

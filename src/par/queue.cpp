@@ -48,15 +48,7 @@ int TaskQueue::depth() const {
   return static_cast<int>(queue_.size());
 }
 
-int TaskQueue::cancel_pending() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const int dropped = static_cast<int>(queue_.size());
-  queue_.clear();
-  publish_depth_locked();
-  if (dropped > 0 && active_ == 0) cv_idle_.notify_all();
-  return dropped;
-}
-
+// kept: test-observation hook: svc_test waits on it before counting runs.
 void TaskQueue::drain() {
   std::unique_lock<std::mutex> lock(mutex_);
   cv_idle_.wait(lock, [this] { return queue_.empty() && active_ == 0; });

@@ -18,10 +18,7 @@
 //   * depth() is the current backlog (queued, not yet started), exported as
 //     the `par.queue.depth` gauge whenever it changes so overload episodes
 //     are visible in every metrics snapshot.
-//   * cancel_pending() drops queued-but-unstarted tasks (returning how many)
-//     — shutdown and deadline sweeps use it; in-flight tasks always finish.
-//   * drain() blocks until the queue is empty AND no task is executing —
-//     the graceful-shutdown barrier.
+//   * drain() blocks until the queue is empty AND no task is executing.
 //
 // The destructor cancels pending tasks, waits for in-flight ones, and joins
 // the workers.
@@ -56,10 +53,6 @@ class TaskQueue {
 
   /// Tasks queued but not yet started.
   int depth() const;
-
-  /// Drops every queued-but-unstarted task; returns how many were dropped.
-  /// Tasks already executing are unaffected.
-  int cancel_pending();
 
   /// Blocks until the queue is empty and every worker is idle.
   void drain();

@@ -73,6 +73,7 @@ void Engine::step() {
   eval();
 }
 
+// kept: test-oracle driver; the ROADMAP one-testbench item owns it.
 void Engine::run(int64_t n) {
   HLSHC_CHECK(n >= 0, "negative cycle count " << n);
   obs::Span span("engine.run", "sim");
@@ -152,6 +153,7 @@ void Engine::set_input(std::string_view port, const BitVec& value) {
   evaluated_ = false;
 }
 
+// kept: test-oracle driver; the ROADMAP one-testbench item owns it.
 void Engine::set_input(std::string_view port, int64_t value) {
   NodeId id = design_.find_input(port);
   HLSHC_CHECK(id != kInvalidNode, "no input port '" << port << "' in design '"
@@ -177,6 +179,7 @@ BitVec Engine::output(std::string_view port) const {
   return value(id);
 }
 
+// kept: test-oracle driver; the ROADMAP one-testbench item owns it.
 int64_t Engine::output_i64(std::string_view port) const {
   return output(port).to_int64();
 }
@@ -209,6 +212,7 @@ void validate_lane_fault(const netlist::Design& design,
               "fault bit " << fault.bit << " outside node width " << n.width);
 }
 
+// kept: test-oracle driver; the ROADMAP one-testbench item owns it.
 void Engine::arm_fault(const LaneFault& fault) {
   validate_lane_fault(design_, fault);
   fault_ = fault;

@@ -19,8 +19,6 @@ const char* error_code_name(ErrorCode code) {
   HLSHC_UNREACHABLE("bad ErrorCode");
 }
 
-bool is_transient(ErrorCode code) { return code == ErrorCode::kOverloaded; }
-
 std::optional<int64_t> exact_int(const Json& value) {
   if (value.kind() != Json::Kind::kNumber) return std::nullopt;
   // A double in [-2^63, 2^63) with no fraction casts to int64_t without

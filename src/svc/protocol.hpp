@@ -69,13 +69,8 @@ enum class ErrorCode : uint8_t {
 /// The wire name: "invalid_request", "overloaded", ...
 const char* error_code_name(ErrorCode code);
 
-/// True for codes a client retry can fix (currently exactly kOverloaded:
-/// the request was shed before any work happened). Deadline and internal
-/// failures consumed work; caller-bug codes will fail identically again.
-bool is_transient(ErrorCode code);
-
-/// A structured service failure: carries the wire code so handlers and the
-/// client retry loop can dispatch on it without parsing messages.
+/// A structured service failure: carries the wire code so the server maps
+/// it to its error response without parsing messages.
 class ProtocolError : public Error {
  public:
   ProtocolError(ErrorCode code, const std::string& message,

@@ -181,6 +181,7 @@ std::future<std::string> Server::submit(const std::string& line) {
   return future;
 }
 
+// kept: the synchronous entry point svc_test and trace_test drive.
 std::string Server::handle(const std::string& line) {
   return submit(line).get();
 }

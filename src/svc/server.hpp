@@ -42,10 +42,11 @@
 // the id as a top-level "trace_id" field, and the `trace` protocol method
 // returns recent request summaries and per-trace events in-band.
 //
-// The server is in-process by design — tests and benches drive it through
-// svc::Client; the hlshc_serve binary wires serve() to stdin/stdout for the
-// actual daemon. Network transport stays out of scope (and out of the
-// dependency set); the protocol is transport-agnostic lines either way.
+// The server is in-process by design — tests and perfbench drive it through
+// submit() and handle(); the hlshc_serve binary wires serve() to
+// stdin/stdout for the actual daemon. Network transport stays out of scope
+// (and out of the dependency set); the protocol is transport-agnostic lines
+// either way.
 #pragma once
 
 #include <cstdint>

@@ -33,19 +33,6 @@ int csd_nonzero_digits(int64_t value) {
   return static_cast<int>(csd_decompose(value).size());
 }
 
-int csd_adder_depth(int64_t value) {
-  int d = csd_nonzero_digits(value);
-  if (d <= 1) return 0;
-  int depth = 0;
-  while ((1 << depth) < d) ++depth;
-  return depth;
-}
-
-int csd_adder_count(int64_t value) {
-  int d = csd_nonzero_digits(value);
-  return d > 1 ? d - 1 : 0;
-}
-
 int binary_nonzero_digits(int64_t value) {
   uint64_t v = value < 0 ? static_cast<uint64_t>(-value)
                          : static_cast<uint64_t>(value);

@@ -26,13 +26,6 @@ std::vector<CsdDigit> csd_decompose(int64_t value);
 /// Number of non-zero digits in the CSD form.
 int csd_nonzero_digits(int64_t value);
 
-/// Depth (in adder levels) of a balanced shift-add tree implementing
-/// multiplication by `value`; 0 when the constant is a power of two or zero.
-int csd_adder_depth(int64_t value);
-
-/// Number of adders in the shift-add tree (= non-zero digits - 1, min 0).
-int csd_adder_count(int64_t value);
-
 /// Plain binary (non-recoded) non-zero bit count — the naive shift-add
 /// implementation; used by the cost-model ablation bench.
 int binary_nonzero_digits(int64_t value);

@@ -1,7 +1,6 @@
 #include "synth/schedule.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdlib>
 #include <map>
 #include <vector>
@@ -23,22 +22,6 @@ const char* schedule_objective_name(ScheduleObjective objective) {
       return "regmin";
   }
   return "balance";
-}
-
-int parse_stages(std::string_view text, std::string_view what) {
-  const std::string s(text);
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(s.c_str(), &end, 10);
-  // First-char digit check: strtol quietly skips leading whitespace and
-  // accepts sign characters, neither of which is a valid stage count.
-  HLSHC_CHECK(!s.empty() && s[0] >= '0' && s[0] <= '9' &&
-                  end == s.c_str() + s.size() && errno == 0,
-              what << " must be a decimal stage count, got '" << s << '\'');
-  HLSHC_CHECK(v <= kMaxScheduleStages,
-              what << " must be at most " << kMaxScheduleStages
-                   << " stages, got '" << s << '\'');
-  return static_cast<int>(v);
 }
 
 ScheduleObjective parse_objective(std::string_view text,

@@ -44,12 +44,6 @@ const char* schedule_objective_name(ScheduleObjective objective);
 /// ("180") from silently building absurd register chains.
 inline constexpr int kMaxScheduleStages = 64;
 
-/// Validator for user-provided stage counts (service knobs, bench --stages
-/// flags, XlsOptions): decimal integer in [0, kMaxScheduleStages], where 0
-/// means combinational. Throws hlshc::Error naming `what` on anything else
-/// — the same loud-failure contract as par::parse_jobs/parse_lanes.
-int parse_stages(std::string_view text, std::string_view what);
-
 /// Validator for the objective knob: "balance" or "regmin" (throws
 /// hlshc::Error naming `what` otherwise).
 ScheduleObjective parse_objective(std::string_view text,

@@ -300,7 +300,7 @@ class XlsFlow : public Flow {
 
  private:
   /// The paper sweeps comb + 1..18 stages; scheduler validation itself
-  /// accepts up to synth::kMaxScheduleStages (see synth::parse_stages).
+  /// accepts up to synth::kMaxScheduleStages.
   static constexpr int kPaperMaxStages = 18;
 
   CompileOptions copts_;
@@ -466,12 +466,6 @@ class VhlsFlow : public Flow {
 
 }  // namespace
 
-std::vector<core::ScatterPoint> Flow::sweep() const {
-  std::vector<core::ScatterPoint> out;
-  for (const SweepTask& t : sweep_tasks()) out.push_back(t.run());
-  return out;
-}
-
 std::vector<std::unique_ptr<Flow>> make_flows(const CompileOptions& compile) {
   std::vector<std::unique_ptr<Flow>> out;
   out.push_back(std::make_unique<VerilogFlow>(compile));
@@ -562,18 +556,6 @@ std::vector<core::ScatterPoint> run_tasks(const char* label,
 }
 
 }  // namespace
-
-std::vector<core::ScatterPoint> flow_dse(int jobs,
-                                         const CompileOptions& compile) {
-  // Flatten every flow's sweep into one task list so a single pool keeps all
-  // workers busy across flow boundaries (the Bambu sweep alone is 42 of the
-  // points). parallel_map writes each point into its input-order slot, so
-  // the scatter list is identical at any worker count.
-  std::vector<SweepTask> tasks;
-  for (const auto& flow : make_flows(compile))
-    for (SweepTask& t : flow->sweep_tasks()) tasks.push_back(std::move(t));
-  return run_tasks("flow_dse", std::move(tasks), jobs);
-}
 
 std::vector<core::ScatterPoint> full_dse(int jobs) {
   std::vector<SweepTask> tasks;

@@ -61,8 +61,6 @@ class Flow {
   virtual FlowResult evaluate() const = 0;
   /// The flow's sweep as independent tasks, in the canonical point order.
   virtual std::vector<SweepTask> sweep_tasks() const = 0;
-  /// Serial convenience: run every sweep task in declaration order.
-  std::vector<core::ScatterPoint> sweep() const;
 };
 
 /// All seven flows, in the paper's column order. Every design a flow
@@ -101,11 +99,6 @@ Table2 build_table2(int jobs = 1, const CompileOptions& compile = {});
 /// fig1 reports the scatter and the per-workload A/P/Q fronts; perfbench
 /// pins every point in perfbench/expected/dse.tsv.
 std::vector<core::ScatterPoint> full_dse(int jobs = 1);
-
-/// Just the classic narrowing-on flow sweeps (the paper's Fig. 1 set plus
-/// the new scheduler points), without the "+wide" and workload dimensions.
-std::vector<core::ScatterPoint> flow_dse(int jobs = 1,
-                                         const CompileOptions& compile = {});
 
 /// Renderers used by the benches.
 std::string render_table1();

@@ -3,8 +3,8 @@
 // Table II rows come from: the refactor moved them behind the registry
 // without touching them, so the registered "idct" path reproduces the
 // pre-registry Table II bit for bit. The stimulus and reference hooks
-// replicate the historical core::evaluate_axis_design and
-// fault::ieee1180_input_set loops exactly (same RNG, same draw order).
+// replicate the historical core::evaluate_axis_design and IEEE 1180
+// campaign-input loops exactly (same RNG, same draw order).
 #include "workload/kernels.hpp"
 
 #include "bsv/designs.hpp"

@@ -12,7 +12,7 @@
 //   * deterministic stimulus generators, seeded via base/rng: the
 //     SplitMix64 evaluation stimulus (bit-compatible with the historical
 //     core::evaluate_axis_design loop) and the IEEE-1180-style campaign
-//     input set (bit-compatible with fault::ieee1180_input_set);
+//     input set;
 //   * a QualityJudge — the IEEE 1180 "is this output acceptable" check
 //     generalized per workload (the shipped workloads are all bit-exact
 //     integer kernels, so their judges are exact equality).
@@ -135,8 +135,9 @@ class Registry {
 std::vector<Frame> eval_input_set(const WorkloadSpec& spec, int matrices,
                                   uint64_t seed, bool realistic);
 
-/// The campaign input set (IEEE-1180-style RNG). For the idct workload this
-/// reproduces fault::ieee1180_input_set bit for bit.
+/// The campaign input set (IEEE-1180-style RNG). For the idct workload:
+/// IEEE 1180 (L,H)=(256,255) spatial blocks pushed through the reference
+/// forward DCT, i.e. realistic coefficient matrices.
 std::vector<Frame> campaign_input_set(const WorkloadSpec& spec, int matrices,
                                       long seed);
 
@@ -144,9 +145,8 @@ std::vector<Frame> campaign_input_set(const WorkloadSpec& spec, int matrices,
 std::vector<Frame> reference_outputs(const WorkloadSpec& spec,
                                      const std::vector<Frame>& inputs);
 
-/// Frames the judge rejects, counting missing/surplus frames as rejected
-/// (same semantics as core::diff_block_sequences for an exact judge). Zero
-/// means the run is functionally acceptable.
+/// Frames the judge rejects, counting missing/surplus frames as rejected.
+/// Zero means the run is functionally acceptable.
 int diff_outputs(const WorkloadSpec& spec, const std::vector<Frame>& want,
                  const std::vector<Frame>& got);
 

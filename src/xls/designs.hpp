@@ -25,8 +25,7 @@ struct XlsOptions {
   /// >= 1 = requested pipeline stages (8 is the paper's optimum; the
   /// paper's sweep stops at 18, the scheduler accepts up to
   /// synth::kMaxScheduleStages). Validated by build_xls_design — out of
-  /// range throws with the knob's name, same contract as
-  /// synth::parse_stages.
+  /// range throws with the knob's name.
   int pipeline_stages = 0;
   /// Stage-assignment objective (delay balance reproduces the paper).
   synth::ScheduleObjective objective = synth::ScheduleObjective::kDelayBalance;

@@ -1,8 +1,7 @@
-// Tests for the specialized arithmetic generators: exhaustive and random
-// equivalence against plain multiplication, CSD vs binary cost, pipelining
-// of generated units, and composition with the rest of the framework.
-#include "framework/arithgen.hpp"
-
+// Tests for the shift-add arithmetic units (testutil::generate_*): exhaustive
+// and random equivalence against plain multiplication, CSD vs binary cost,
+// pipelining of generated units, and composition with the rest of the
+// framework.
 #include <gtest/gtest.h>
 
 #include "base/rng.hpp"
@@ -10,10 +9,15 @@
 #include "sim/simulator.hpp"
 #include "synth/csd.hpp"
 #include "synth/synthesize.hpp"
+#include "testutil.hpp"
 #include "xls/pipeline.hpp"
 
 namespace hlshc::framework {
 namespace {
+
+using testutil::ArithGenOptions;
+using testutil::generate_const_multiplier;
+using testutil::generate_dot_product;
 
 int64_t run_mult(netlist::Design& d, int64_t x) {
   sim::Simulator sim(d);

@@ -57,11 +57,6 @@ TEST(Stream, LanePortNames) {
   EXPECT_EQ(lane_port("m", 7), "m_tdata7");
 }
 
-TEST(Stream, BeatsToMatrixRequiresEightBeats) {
-  std::vector<Beat> beats(3);
-  EXPECT_THROW(beats_to_matrix(beats), Error);
-}
-
 class TestbenchAgainstDut : public ::testing::Test {
  protected:
   netlist::Design design_ = rtl::build_verilog_initial();

@@ -28,7 +28,6 @@ TEST(Dsl, AddSubInferMaxPlusOne) {
   SInt c = b.input("c", 15);
   EXPECT_EQ((a + c).width(), 16);
   EXPECT_EQ((a - c).width(), 16);
-  EXPECT_EQ((-a).width(), 13);
 }
 
 TEST(Dsl, MulInfersSumOfWidths) {
@@ -65,7 +64,7 @@ TEST(Dsl, ConnectRefusesTruncation) {
   Builder b("t");
   SInt r = b.reg_init(8, 0, "r");
   SInt wide = b.input("w", 12);
-  EXPECT_THROW(b.connect(r, wide), Error);
+  EXPECT_THROW(b.connect_when(r, b.input_bool("en"), wide), Error);
 }
 
 TEST(Dsl, WidthOverflowRejected) {

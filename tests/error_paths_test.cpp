@@ -226,10 +226,6 @@ TEST(ErrorPaths, HardeningRejectsUnusableDesigns) {
   Design no_out("no_out");
   no_out.input("a", 4);
   EXPECT_THROW(fault::tmr(no_out), Error);  // nothing to vote on
-
-  Design no_mem("no_mem");
-  no_mem.output("o", no_mem.input("a", 4));
-  EXPECT_THROW(fault::parity_protect(no_mem), Error);  // nothing to protect
 }
 
 TEST(ErrorPaths, CsdHandlesBoundaryConstants) {

@@ -1,7 +1,6 @@
 // Fault-injection subsystem tests: model determinism and validation, the
 // simulator's injection hooks, campaign outcome classification on hand-built
-// mini netlists, and the hardening guarantees (TMR masks single faults,
-// parity detects single memory bit-flips).
+// mini netlists, and the hardening guarantee (TMR masks single faults).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -57,6 +56,10 @@ Design mini_echo() {
   return d;
 }
 
+const workload::WorkloadSpec& idct_spec() {
+  return workload::Registry::instance().get("idct");
+}
+
 NodeId find_reg(const Design& d, const std::string& name) {
   for (size_t i = 0; i < d.node_count(); ++i) {
     const netlist::Node& n = d.node(static_cast<NodeId>(i));
@@ -87,19 +90,6 @@ TEST(FaultModel, EnumerateRegSitesCoversEveryRegisterBit) {
     EXPECT_EQ(s.cycle, 3u);
     EXPECT_NO_THROW(validate_site(d, s));
   }
-}
-
-TEST(FaultModel, EnumerateMemSitesCoversEveryWordBit) {
-  Design d("memstore");
-  int mem = d.add_memory("buf", 8, 4);
-  NodeId addr = d.input("addr", 2);
-  NodeId data = d.input("data", 8);
-  NodeId we = d.input("we", 1);
-  d.mem_write(mem, addr, data, we);
-  d.output("q", d.mem_read(mem, addr));
-  auto sites = enumerate_mem_seu_sites(d, 0);
-  EXPECT_EQ(sites.size(), 8u * 4u);
-  for (const FaultSite& s : sites) EXPECT_NO_THROW(validate_site(d, s));
 }
 
 TEST(FaultModel, SamplingIsDeterministicInSeed) {
@@ -172,7 +162,7 @@ TEST(Campaign, ClassifiesMaskedSdcAndHang) {
   CampaignOptions opts;
   opts.matrices = 1;
   opts.max_cycles = 500;
-  CampaignReport rep = run_campaign(d, {masked, sdc, hang}, opts);
+  CampaignReport rep = run_campaign(d, idct_spec(), {masked, sdc, hang}, opts);
   EXPECT_FALSE(rep.reference_functional);  // echo, not an IDCT
   EXPECT_EQ(rep.counts.masked, 1);
   EXPECT_EQ(rep.counts.sdc, 1);
@@ -200,7 +190,7 @@ TEST(Campaign, ProgressCallbackSeesRunningOutcomeMix) {
   opts.lanes = 1;
   std::vector<CampaignProgress> seen;
   opts.on_progress = [&](const CampaignProgress& p) { seen.push_back(p); };
-  CampaignReport rep = run_campaign(d, sites, opts);
+  CampaignReport rep = run_campaign(d, idct_spec(), sites, opts);
 
   // 5 sites at every-2 reporting: callbacks after sites 2 and 4.
   ASSERT_EQ(seen.size(), 2u);
@@ -223,7 +213,7 @@ TEST(Campaign, ProgressDisabledWithNonPositivePeriod) {
   opts.progress_every = 0;
   int calls = 0;
   opts.on_progress = [&](const CampaignProgress&) { ++calls; };
-  run_campaign(d, sites, opts);
+  run_campaign(d, idct_spec(), sites, opts);
   EXPECT_EQ(calls, 0);
 }
 
@@ -240,7 +230,7 @@ TEST(Campaign, ThrowingProgressCallbackIsIsolated) {
   opts.max_cycles = 500;
   opts.progress_every = 1;  // every completed site would report
 
-  CampaignReport clean = run_campaign(d, sites, opts);
+  CampaignReport clean = run_campaign(d, idct_spec(), sites, opts);
 
   for (const int jobs : {1, 8}) {
     SCOPED_TRACE("jobs=" + std::to_string(jobs));
@@ -250,7 +240,7 @@ TEST(Campaign, ThrowingProgressCallbackIsIsolated) {
       ++calls;
       throw std::runtime_error("progress observer exploded");
     };
-    CampaignReport rep = run_campaign(d, sites, opts);
+    CampaignReport rep = run_campaign(d, idct_spec(), sites, opts);
 
     // Disarmed after the first throw: invoked exactly once despite the
     // every-site cadence over 8 sites.
@@ -277,7 +267,7 @@ TEST(Campaign, WellBehavedCallbackReportsNoProgressError) {
   opts.max_cycles = 500;
   opts.progress_every = 1;
   opts.on_progress = [](const CampaignProgress&) {};
-  EXPECT_TRUE(run_campaign(d, sites, opts).progress_error.empty());
+  EXPECT_TRUE(run_campaign(d, idct_spec(), sites, opts).progress_error.empty());
 }
 
 TEST(Campaign, TransientGlitchOnDataPathIsSdcOrMasked) {
@@ -288,7 +278,7 @@ TEST(Campaign, TransientGlitchOnDataPathIsSdcOrMasked) {
   CampaignOptions opts;
   opts.matrices = 1;
   opts.max_cycles = 500;
-  CampaignReport rep = run_campaign(d, {glitch}, opts);
+  CampaignReport rep = run_campaign(d, idct_spec(), {glitch}, opts);
   EXPECT_EQ(rep.counts.sdc, 1);
 }
 
@@ -302,7 +292,7 @@ TEST(Campaign, DetectorOutputTurnsSdcIntoDetected) {
   CampaignOptions opts;
   opts.matrices = 1;
   opts.max_cycles = 500;
-  CampaignReport rep = run_campaign(hardened, {seu}, opts);
+  CampaignReport rep = run_campaign(hardened, idct_spec(), {seu}, opts);
   EXPECT_EQ(rep.counts.detected, 1);
   EXPECT_EQ(rep.counts.sdc, 0);
 }
@@ -318,7 +308,7 @@ TEST(Harden, TmrMasksEverySingleRegisterUpset) {
   for (uint64_t cycle : {0u, 1u, 2u, 5u})
     for (const FaultSite& s : enumerate_reg_seu_sites(hardened, cycle))
       sites.push_back(s);
-  CampaignReport rep = run_campaign(hardened, sites, opts);
+  CampaignReport rep = run_campaign(hardened, idct_spec(), sites, opts);
   EXPECT_EQ(rep.counts.sdc, 0);
   EXPECT_EQ(rep.counts.hang, 0);
   EXPECT_EQ(rep.counts.detected, 0);
@@ -331,7 +321,7 @@ TEST(Harden, TmrVerilogOpt2NoSdcOnSampledRegisterSeu) {
   CampaignOptions opts;
   opts.matrices = 2;
   opts.max_cycles = 5000;
-  CampaignReport rep = run_campaign(hardened, sites, opts);
+  CampaignReport rep = run_campaign(hardened, idct_spec(), sites, opts);
   EXPECT_TRUE(rep.reference_functional);  // still a bit-exact IDCT
   EXPECT_EQ(rep.counts.sdc, 0);
   EXPECT_EQ(rep.counts.hang, 0);
@@ -349,61 +339,6 @@ TEST(Harden, TmrIsPortCompatibleAndCostsRoughlyThreeArea) {
   EXPECT_GT(a3, 2 * a);  // three copies plus voters
 }
 
-TEST(Harden, ParityDetectsSingleMemoryBitFlip) {
-  Design d("memstore");
-  int mem = d.add_memory("buf", 8, 4);
-  NodeId addr = d.input("addr", 2);
-  NodeId data = d.input("data", 8);
-  NodeId we = d.input("we", 1);
-  d.mem_write(mem, addr, data, we);
-  d.output("q", d.mem_read(mem, addr));
-  Design protected_d = parity_protect(d);
-  ASSERT_EQ(protected_d.memories().size(), 1u);
-  EXPECT_EQ(protected_d.memories()[0].width, 9);  // +1 parity bit
-
-  sim::Simulator sim(protected_d);
-  sim.set_input("addr", 2);
-  sim.set_input("data", 0x5A);
-  sim.set_input("we", 1);
-  sim.step();
-  sim.set_input("we", 0);
-  sim.step();
-  EXPECT_EQ(sim.output("q").to_uint64(), 0x5Au);  // round-trips unchanged
-  EXPECT_EQ(sim.output_i64("parity_err"), 0);
-
-  sim.flip_mem_bit(0, 2, 3);  // SEU in the stored word
-  sim.step();
-  EXPECT_EQ(sim.output("parity_err").to_uint64(), 1u);  // seen on the read
-  sim.set_input("addr", 0);
-  sim.step();
-  EXPECT_EQ(sim.output("parity_err").to_uint64(), 1u);  // sticky thereafter
-}
-
-TEST(Harden, ParityErrStaysLowWithoutFaults) {
-  Design d("memstore");
-  int mem = d.add_memory("buf", 16, 8);
-  NodeId addr = d.input("addr", 3);
-  NodeId data = d.input("data", 16);
-  NodeId we = d.input("we", 1);
-  d.mem_write(mem, addr, data, we);
-  d.output("q", d.mem_read(mem, addr));
-  Design protected_d = parity_protect(d);
-  sim::Simulator sim(protected_d);
-  for (int i = 0; i < 8; ++i) {
-    sim.set_input("addr", i);
-    sim.set_input("data", 1000 + 77 * i);
-    sim.set_input("we", 1);
-    sim.step();
-  }
-  sim.set_input("we", 0);
-  for (int i = 0; i < 8; ++i) {
-    sim.set_input("addr", i);
-    sim.step();
-    EXPECT_EQ(sim.output_i64("q"), 1000 + 77 * i);
-    EXPECT_EQ(sim.output_i64("parity_err"), 0);
-  }
-}
-
 // ---- resilience evaluation ------------------------------------------------
 
 TEST(Resilience, EvaluateJoinsCampaignWithCostModel) {
@@ -412,8 +347,9 @@ TEST(Resilience, EvaluateJoinsCampaignWithCostModel) {
   CampaignOptions opts;
   opts.matrices = 2;
   opts.max_cycles = 5000;
-  DesignResilience r =
-      evaluate_resilience(d, sites, synth::synthesize_normalized(d), opts);
+  DesignResilience r = resilience_from_campaign(
+      d, idct_spec(), run_campaign(d, idct_spec(), sites, opts),
+      synth::synthesize_normalized(d), opts);
   EXPECT_TRUE(r.campaign.reference_functional);
   EXPECT_EQ(r.campaign.counts.total(), 12);
   EXPECT_GT(r.fmax_mhz, 0.0);

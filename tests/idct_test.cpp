@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "base/rng.hpp"
 
 namespace hlshc::idct {
@@ -41,7 +43,10 @@ TEST(ChenWang, OutputAlwaysInNineBitRange) {
   for (int i = 0; i < 2000; ++i) {
     Block b = random_coeffs(rng);
     idct_2d(b);
-    EXPECT_TRUE(in_range(b, kSampleMin, kSampleMax));
+    for (int32_t v : b) {
+      EXPECT_GE(v, kSampleMin);
+      EXPECT_LE(v, kSampleMax);
+    }
   }
 }
 
@@ -151,7 +156,8 @@ TEST(Ieee1180, BrokenIdctIsRejected) {
     return b;
   };
   auto suite = run_compliance_suite(broken, 200);
-  EXPECT_FALSE(all_pass(suite));
+  EXPECT_TRUE(std::any_of(suite.begin(), suite.end(),
+                          [](const ComplianceResult& r) { return !r.pass; }));
 }
 
 TEST(Ieee1180, ZeroInZeroOutDetectsDcBias) {
@@ -172,8 +178,6 @@ TEST(Block, Helpers) {
   Block b{};
   at(b, 2, 3) = 42;
   EXPECT_EQ(b[19], 42);
-  EXPECT_TRUE(in_range(b, 0, 42));
-  EXPECT_FALSE(in_range(b, 0, 41));
   EXPECT_NE(to_string(b).find("42"), std::string::npos);
   EXPECT_EQ(iclip(-1000), -256);
   EXPECT_EQ(iclip(1000), 255);

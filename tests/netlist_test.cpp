@@ -175,10 +175,6 @@ TEST(NetlistDump, TextAndDotContainStructure) {
   std::string text = dump_text(d);
   EXPECT_NE(text.find("design dumpme"), std::string::npos);
   EXPECT_NE(text.find("add<8>"), std::string::npos);
-  std::string dot = dump_dot(d);
-  EXPECT_NE(dot.find("digraph"), std::string::npos);
-  std::string sum = summarize(d);
-  EXPECT_NE(sum.find("1 adders"), std::string::npos);
 }
 
 }  // namespace

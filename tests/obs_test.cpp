@@ -216,10 +216,14 @@ TEST_F(ObsTest, RegistryJsonExportSortsKeysAndRoundTrips) {
       GTEST_SKIP() << "tracer compiled out (HLSHC_TRACE=OFF)";     \
   } while (0)
 
+size_t trace_event_count() {
+  return obs::tracer().to_json().at("traceEvents").size();
+}
+
 TEST_F(ObsTest, SpansRecordOnlyWhileActive) {
   SKIP_IF_TRACER_COMPILED_OUT();
   { obs::Span s("ignored", "test"); }
-  EXPECT_EQ(obs::tracer().event_count(), 0u);
+  EXPECT_EQ(trace_event_count(), 0u);
 
   obs::tracer().start();
   {
@@ -229,7 +233,7 @@ TEST_F(ObsTest, SpansRecordOnlyWhileActive) {
   obs::tracer().instant("tick", "test");
   obs::tracer().stop();
   { obs::Span s("after-stop", "test"); }
-  ASSERT_EQ(obs::tracer().event_count(), 2u);
+  ASSERT_EQ(trace_event_count(), 2u);
 
   obs::Json doc = obs::tracer().to_json();
   const obs::Json& events = doc.at("traceEvents");
@@ -249,7 +253,7 @@ TEST_F(ObsTest, SpanEndClosesEarlyAndIsIdempotent) {
   s.end();
   s.end();  // second end is a no-op
   s.arg("late", "ignored after end");
-  EXPECT_EQ(obs::tracer().event_count(), 1u);
+  EXPECT_EQ(trace_event_count(), 1u);
   obs::Json doc = obs::tracer().to_json();
   EXPECT_EQ(doc.at("traceEvents")[0].find("args"), nullptr);
 }
@@ -389,8 +393,6 @@ TEST_F(ObsTest, HistogramPercentilesAreWithinOneSixteenthOfNearestRank) {
 TEST_F(ObsTest, LabeledMetricNames) {
   EXPECT_EQ(obs::labeled("svc.requests", "method", "compile"),
             "svc.requests{method=compile}");
-  EXPECT_EQ(obs::labeled("svc.outcome", "code", "ok", "method", "evaluate"),
-            "svc.outcome{code=ok,method=evaluate}");
 
   // Labeled series live in the same registry and export next to their
   // unlabeled parent.
@@ -526,7 +528,6 @@ TEST_F(ObsTest, EventLogJsonAndSinkParseBack) {
   obs::EventLog log(16);
   const std::string path = ::testing::TempDir() + "obs_event_log_test.jsonl";
   log.open_sink(path);
-  EXPECT_TRUE(log.sink_open());
 
   const obs::TraceContext trace = obs::new_trace();
   {
@@ -536,7 +537,6 @@ TEST_F(ObsTest, EventLogJsonAndSinkParseBack) {
   }
   log.emit(obs::EventLevel::kError, "bare");
   log.close_sink();
-  EXPECT_FALSE(log.sink_open());
 
   // event_json: envelope fields plus flattened kv; ids only when traced.
   const std::vector<obs::Event> events = log.snapshot();

@@ -312,7 +312,8 @@ fault::CampaignReport campaign_at(const netlist::Design& d,
   opts.keep_runs = true;
   opts.progress_every = 0;
   opts.jobs = jobs;
-  return fault::run_campaign(d, sites, opts);
+  return fault::run_campaign(
+      d, workload::Registry::instance().get("idct"), sites, opts);
 }
 
 /// The tentpole invariant: classification results are bitwise identical at
@@ -357,7 +358,8 @@ TEST(CampaignParallel, ProgressReportsCompletedCounts) {
     EXPECT_EQ(p.completed % 10, 0);
     ticks.insert(p.completed);
   };
-  fault::run_campaign(d, sites, opts);
+  fault::run_campaign(d, workload::Registry::instance().get("idct"), sites,
+                      opts);
   // Every completion count fires exactly once (the counter is atomic, so
   // each multiple of the cadence is observed by exactly one worker).
   EXPECT_EQ(ticks, (std::multiset<int>{10, 20, 30, 40, 50, 60}));

@@ -319,7 +319,6 @@ TEST(PassManagerDriver, StatsBreakdownCoversEveryRun) {
     EXPECT_GE(run.wall_ns, 0);
     total += run.changes;
   }
-  EXPECT_EQ(total, stats.total_changes());
   EXPECT_GT(total, 0);
 }
 
@@ -336,7 +335,6 @@ TEST(PassManagerDriver, StatsMergeAccumulates) {
   EXPECT_EQ(a.removed, 3);
   EXPECT_EQ(a.iterations, 3);
   ASSERT_EQ(a.runs.size(), 2u);
-  EXPECT_EQ(a.total_changes(), 5);
   EXPECT_EQ(a.nodes_before(), 100u);
   EXPECT_EQ(a.nodes_after(), 95u);
   EXPECT_EQ(a.nodes_delta(), 5);
@@ -382,7 +380,7 @@ TEST(VerifyMode, CleanPipelinePassesVerification) {
   opts.verifier = sim::make_pass_verifier({/*cycles=*/8, /*seed=*/11});
   PassStats stats;
   EXPECT_NO_THROW(default_pipeline().run(d, &stats, opts));
-  EXPECT_GT(stats.total_changes(), 0);
+  EXPECT_GT(stats.nodes_delta(), 0);
 }
 
 TEST(VerifyMode, BrokenPassIsCaughtAndNamed) {
@@ -441,7 +439,7 @@ TEST(ToolsCompile, PipelineShrinksAndVerifies) {
   on.verify_cycles = 8;
   tools::CompiledDesign c = tools::compile(d, on);
   EXPECT_LT(c.design.node_count(), d.node_count());
-  EXPECT_GT(c.stats.total_changes(), 0);
+  EXPECT_GT(c.stats.nodes_delta(), 0);
   expect_equivalent(d, c.design);
 }
 

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "base/rng.hpp"
-#include "framework/arithgen.hpp"
 #include "netlist/instantiate.hpp"
 #include "netlist/ir.hpp"
 #include "netlist/pass_manager.hpp"
@@ -13,6 +12,7 @@
 #include "netlist/verilog.hpp"
 #include "sim/engine.hpp"
 #include "sim/simulator.hpp"
+#include "testutil.hpp"
 
 namespace hlshc::netlist {
 namespace {
@@ -176,9 +176,9 @@ TEST_P(RandomNetlist, PipelinePreservesArithgenDotProducts) {
   SplitMix64 rng(GetParam() * 19 + 7);
   std::vector<int64_t> constants;
   for (int i = 0; i < 4; ++i) constants.push_back(rng.next_in(-2048, 2047));
-  framework::ArithGenOptions opts;
+  testutil::ArithGenOptions opts;
   opts.csd = (GetParam() % 2) == 0;
-  Design original = framework::generate_dot_product(
+  Design original = testutil::generate_dot_product(
       constants, opts, "dp_" + std::to_string(GetParam()));
   Design compiled = default_pipeline(/*strength_reduce=*/true).run(original);
   compiled.validate();

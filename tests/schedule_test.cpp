@@ -23,14 +23,6 @@ using netlist::NodeId;
 
 // ---- knob validators -------------------------------------------------------
 
-TEST(ScheduleKnobs, ParseStagesAcceptsTheValidRangeOnly) {
-  EXPECT_EQ(parse_stages("0", "test"), 0);
-  EXPECT_EQ(parse_stages("18", "test"), 18);
-  EXPECT_EQ(parse_stages("64", "test"), 64);
-  for (const char* bad : {"", "abc", "-1", "65", "180", "3x", " 4"})
-    EXPECT_THROW(parse_stages(bad, "test"), Error) << '"' << bad << '"';
-}
-
 TEST(ScheduleKnobs, ParseObjectiveNamesBothObjectives) {
   EXPECT_EQ(parse_objective("balance", "test"),
             ScheduleObjective::kDelayBalance);

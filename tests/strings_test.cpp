@@ -35,11 +35,6 @@ TEST(Strings, TrimAndBlank) {
   EXPECT_FALSE(is_blank(" . "));
 }
 
-TEST(Strings, Join) {
-  EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(join({}, ","), "");
-}
-
 TEST(Strings, FormatFixed) {
   EXPECT_EQ(format_fixed(3.14159, 2), "3.14");
   EXPECT_EQ(format_fixed(2.0, 1), "2.0");

@@ -8,7 +8,9 @@
 #include "idct/block.hpp"
 #include "idct/chenwang.hpp"
 #include "idct/reference.hpp"
+#include "base/check.hpp"
 #include "netlist/ir.hpp"
+#include "netlist/passes.hpp"
 
 namespace hlshc::testutil {
 
@@ -101,7 +103,10 @@ inline netlist::Design random_design(uint64_t seed) {
         made = d.ashr(a, static_cast<int>(rng.next_in(0, 70)), w);
         break;
       case 6:
-        made = d.lshr(a, static_cast<int>(rng.next_in(0, 70)), w);
+        // No frontend builds LShr or Ult (case 17), so the generator retags
+        // an AShr/Slt node to keep both ops covered.
+        made = d.ashr(a, static_cast<int>(rng.next_in(0, 70)), w);
+        d.mutable_node(made).op = netlist::Op::LShr;
         break;
       case 7: made = d.band(a, b, w); break;
       case 8: made = d.bor(a, b, w); break;
@@ -113,7 +118,10 @@ inline netlist::Design random_design(uint64_t seed) {
       case 14: made = d.sle(a, b); break;
       case 15: made = d.sgt(a, b); break;
       case 16: made = d.sge(a, b); break;
-      case 17: made = d.ult(a, b); break;
+      case 17:
+        made = d.slt(a, b);
+        d.mutable_node(made).op = netlist::Op::Ult;
+        break;
       case 18: made = d.mux(fit(a, 1), a, b, w); break;
       case 19: {
         int have = d.node(a).width;
@@ -153,6 +161,57 @@ inline netlist::Design random_design(uint64_t seed) {
   // A few observable outputs (every node is compared anyway).
   for (int i = 0; i < 3; ++i)
     d.output("out" + std::to_string(i), any());
+  return d;
+}
+
+// ---- shift-add arithmetic units ---------------------------------------------
+//
+// Small pure-dataflow functions built from netlist::build_shift_add — the
+// lowering the strength_reduce pass uses for constant multiplies — so the
+// tests can check that lowering in isolation and stress the pipeline with
+// designs made only of shift-add trees.
+
+struct ArithGenOptions {
+  int input_width = 16;
+  int output_width = 32;
+  bool csd = true;  ///< CSD recoding (false: plain binary shift-add)
+};
+
+/// x * constant as a shift-add tree. Ports: i0 -> o0.
+inline netlist::Design generate_const_multiplier(
+    int64_t constant, const ArithGenOptions& options,
+    const std::string& name) {
+  netlist::Design d(name);
+  netlist::NodeId x = d.input("i0", options.input_width);
+  d.output("o0", netlist::build_shift_add(d, x, constant,
+                                          options.output_width, options.csd));
+  d.validate();
+  return d;
+}
+
+/// sum_k (x_k * constants[k]) as shift-add trees + a balanced adder tree.
+/// Ports: i0..iN-1 -> o0.
+inline netlist::Design generate_dot_product(
+    const std::vector<int64_t>& constants, const ArithGenOptions& options,
+    const std::string& name) {
+  HLSHC_CHECK(!constants.empty(), "dot product needs at least one term");
+  netlist::Design d(name);
+  std::vector<netlist::NodeId> products;
+  for (size_t k = 0; k < constants.size(); ++k) {
+    netlist::NodeId x = d.input("i" + std::to_string(k), options.input_width);
+    products.push_back(netlist::build_shift_add(
+        d, x, constants[k], options.output_width, options.csd));
+  }
+  while (products.size() > 1) {
+    std::vector<netlist::NodeId> next;
+    for (size_t i = 0; i + 1 < products.size(); i += 2)
+      next.push_back(
+          d.add(products[i], products[i + 1], options.output_width));
+    if (products.size() % 2) next.push_back(products.back());
+    products = std::move(next);
+  }
+  d.output("o0", products[0]);
+  d.validate();
   return d;
 }
 
